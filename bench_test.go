@@ -301,11 +301,9 @@ func BenchmarkSweepSchedulerSingleWorker(b *testing.B) {
 // step pipeline), with TTL expiry and rating sampling switched on so every
 // periodic subsystem is in the loop. Worker counts above GOMAXPROCS clamp
 // to it, so on a host with fewer cores the upper worker points measure the
-// same (serial or narrower) configuration — the stale-plans metric shows
-// whether the optimistic scoring path actually ran. Each iteration retires
-// one simulated
-// second, so the headline ns/op reads directly as nanoseconds per simulated
-// second — the speedup trajectory is tracked in DESIGN.md ("Parallel step
+// same (serial or narrower) configuration. Each iteration retires one
+// simulated second, so the headline ns/op reads directly as nanoseconds per
+// simulated second — the speedup trajectory is tracked in DESIGN.md ("Parallel step
 // pipeline"); the committed BENCH_engine.json holds the recorded grid
 // (regenerate with `go run ./cmd/dtnexp -exp bench-engine`).
 //
@@ -352,8 +350,6 @@ func BenchmarkEngineScale(b *testing.B) {
 							b.Fatal(err)
 						}
 					}
-					b.StopTimer()
-					b.ReportMetric(float64(eng.StalePlans()), "stale-plans")
 				})
 			}
 		}
@@ -411,18 +407,17 @@ func BenchmarkContactDetection(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchedExchange isolates the batched contact-round exchange
-// scoring path (see DESIGN.md "Batched exchange rounds & bounded tables"):
-// a dense 2000-node workload where many contact rounds come due on the same
-// tick, crossed with workers (flat vs. batched fan-out), regions (flat vs.
-// region-credited batches), and the table cap (unbounded vs. top-k bounded
-// tables). Each iteration retires one simulated second, so ns/op reads as
-// nanoseconds per simulated second; b.ReportAllocs pins the alloc-free
-// scratch reuse in the batch gather and FIFO offer sort.
+// BenchmarkBatchedExchange isolates the exchange rounds (see DESIGN.md
+// "Exchange rounds & bounded tables"): a dense 2000-node workload where many
+// contact rounds come due on the same tick, crossed with workers (parallel
+// move and detect), regions, and the table cap (unbounded vs. top-k
+// bounded tables). Each iteration retires one simulated second, so ns/op
+// reads as nanoseconds per simulated second; b.ReportAllocs pins the
+// alloc-free scratch reuse in the peer-table gather and offer selection.
 //
 // -short trims the grid to 500 nodes at workers {1,4} × regions=1 ×
-// cap={0,64} so the CI race bench smoke (-benchtime=1x) touches both the
-// serial and batched paths and both cap branches cheaply.
+// cap={0,64} so the CI race bench smoke (-benchtime=1x) touches both worker
+// settings and both cap branches cheaply.
 func BenchmarkBatchedExchange(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		for _, regions := range []int{1, 4} {

@@ -7,6 +7,7 @@ package buffer
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -40,6 +41,7 @@ type Store struct {
 	policy   Policy
 	byID     map[ident.MessageID]*message.Message
 	order    []*message.Message // insertion order, for deterministic iteration
+	byKey    []Resident         // the residents ordered by (Key, ID); see ByKey
 	dropped  int                // messages evicted before delivery
 
 	// expiry is a deadline-ordered index over TTL-carrying residents, so
@@ -49,6 +51,48 @@ type Store struct {
 	expiry    expiryHeap
 	expirySeq uint64
 }
+
+// Resident is one entry of a store's key-ordered resident index. Key is a
+// hash of the message ID, so every copy of a message has the same key in
+// every store.
+type Resident struct {
+	Key uint64
+	Msg *message.Message
+}
+
+// keyOf hashes a message ID (64-bit FNV-1a).
+func keyOf(id ident.MessageID) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(id); i++ {
+		h ^= uint64(id[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// Less orders residents by key, then message ID; residents of one store
+// are distinct under it, and equal entries of two stores are copies of one
+// message.
+func (r Resident) Less(o Resident) bool {
+	return r.Key < o.Key || r.Key == o.Key && r.Msg.ID < o.Msg.ID
+}
+
+// compareResidents is Resident.Less as a three-way comparison.
+func compareResidents(x, y Resident) int {
+	switch {
+	case x.Less(y):
+		return -1
+	case y.Less(x):
+		return 1
+	}
+	return 0
+}
+
+// ByKey returns the residents ordered by (Key, ID), the order in which two
+// stores' resident sets merge in one linear pass (membership, not
+// transmission, order). The returned slice is the store's internal index,
+// invalidated by the next Add or Remove; callers must not mutate it.
+func (s *Store) ByKey() []Resident { return s.byKey }
 
 // expiryEntry is one (deadline, message) pair in the expiry index. seq makes
 // same-deadline expiry follow insertion order, keeping removal deterministic.
@@ -180,6 +224,9 @@ func (s *Store) Add(m *message.Message) error {
 	}
 	s.byID[m.ID] = m
 	s.order = append(s.order, m)
+	r := Resident{Key: keyOf(m.ID), Msg: m}
+	i, _ := slices.BinarySearchFunc(s.byKey, r, compareResidents)
+	s.byKey = slices.Insert(s.byKey, i, r)
 	s.used += m.Size
 	if m.TTL > 0 {
 		s.expirySeq++
@@ -204,6 +251,9 @@ func (s *Store) remove(id ident.MessageID) bool {
 			s.order = append(s.order[:i], s.order[i+1:]...)
 			break
 		}
+	}
+	if i, ok := slices.BinarySearchFunc(s.byKey, Resident{Key: keyOf(id), Msg: m}, compareResidents); ok {
+		s.byKey = slices.Delete(s.byKey, i, i+1)
 	}
 	return true
 }

@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -199,5 +200,46 @@ func TestEvictionAlwaysFrees(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestByKeyTracksResidents drives a small store through random adds,
+// removals, capacity evictions and TTL expiry, checking after every step
+// that ByKey holds exactly the residents, strictly ordered by
+// compareResidents, each under its ID's key.
+func TestByKeyTracksResidents(t *testing.T) {
+	rng := sim.NewRNG(4)
+	s, err := New(1000, DropOldest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for op := 0; op < 2000; op++ {
+		id := ident.MessageID(fmt.Sprintf("m%d", rng.Intn(40)))
+		switch {
+		case rng.Coin(0.6):
+			m := msg(t, string(id), int64(50+rng.Intn(200)), message.PriorityHigh, 0.5, time.Duration(op)*time.Second)
+			if rng.Coin(0.3) {
+				m.TTL = time.Duration(rng.Intn(30)) * time.Second
+			}
+			if err := s.Add(m); err != nil && !errors.Is(err, ErrDuplicate) {
+				t.Fatal(err)
+			}
+		case rng.Coin(0.5):
+			s.Remove(id)
+		default:
+			s.ExpireAt(time.Duration(op) * time.Second)
+		}
+		idx := s.ByKey()
+		if len(idx) != s.Len() {
+			t.Fatalf("op %d: index holds %d entries, store %d", op, len(idx), s.Len())
+		}
+		for i, r := range idx {
+			if s.Get(r.Msg.ID) != r.Msg || r.Key != keyOf(r.Msg.ID) {
+				t.Fatalf("op %d: index entry %d (%s) is not a resident under its key", op, i, r.Msg.ID)
+			}
+			if i > 0 && compareResidents(idx[i-1], r) >= 0 {
+				t.Fatalf("op %d: index out of order at %d", op, i)
+			}
+		}
 	}
 }

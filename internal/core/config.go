@@ -123,14 +123,13 @@ func (m ReputationModel) String() string {
 type Config struct {
 	// Seed drives every random stream in the run.
 	Seed int64
-	// Workers bounds the intra-run parallelism: the mobility advance,
-	// contact-pair detection, and exchange scoring each shard across up to
-	// this many goroutines per tick. Zero or one runs fully serially, and
-	// counts above GOMAXPROCS are clamped to it (extra workers can never
-	// cut wall-clock time but would forfeit the serial fast paths).
-	// Results are byte-identical across worker counts — parallel phases are
-	// read-only or write to pre-assigned slots merged in canonical order,
-	// and exchange plans apply optimistically with a serial fallback.
+	// Workers bounds the intra-run parallelism: the mobility advance and
+	// contact-pair detection each shard across up to this many goroutines
+	// per tick. Zero or one runs fully serially, and counts above
+	// GOMAXPROCS are clamped to it (extra workers can never cut wall-clock
+	// time but would forfeit the serial fast paths). Results are
+	// byte-identical across worker counts — parallel phases are read-only
+	// or write to pre-assigned slots merged in canonical order.
 	Workers int
 	// Regions shards the world state (see DESIGN.md "Region-sharded
 	// world"): the area is tiled into this many regions, each owning its

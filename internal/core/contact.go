@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"dtnsim/internal/interest"
 	"dtnsim/internal/message"
 	"dtnsim/internal/routing"
 	"dtnsim/internal/sim"
@@ -17,10 +16,9 @@ import (
 //
 // Contacts are arena objects: Engine.acquireContact hands them out of a
 // free list and Engine.releaseContact returns them after teardown, keeping
-// the transfer-queue backing array, the reusable ExchangePlan scratch, and
-// the agenda event handles warm across encounters so steady-state contact
-// churn allocates nothing (DESIGN.md "Contact lifecycle arena &
-// merge-diff").
+// the transfer-queue backing array and the agenda event handles warm
+// across encounters so steady-state contact churn allocates nothing
+// (DESIGN.md "Contact lifecycle arena & merge-diff").
 //
 // Periodic per-contact work (the RTSR exchange round, reputation gossip) is
 // event-scheduled on the engine's agenda: contact-up schedules the events,
@@ -44,14 +42,6 @@ type contact struct {
 	gossipEv    *sim.Handle
 	exchangeDue bool
 	gossipDue   bool
-	// plan holds this tick's pre-scored exchange outcome when the parallel
-	// scoring pass ran (Engine.scoreExchanges); planScored marks it fresh.
-	// The peer-table lists the round reads live on the endpoints
-	// (Node.peerTables, rebuilt gen-checked by Engine.refreshNodePeers), not
-	// on the contact: scoring passes only read them, so contacts sharing a
-	// node score concurrently off one shared list per node.
-	plan       interest.ExchangePlan
-	planScored bool
 	// queue[queueHead:] are the pending transfers. Dequeuing advances
 	// queueHead instead of reslicing from the front, so a long-lived
 	// contact releases its consumed prefix (see pop) rather than pinning

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"dtnsim/internal/ident"
@@ -108,7 +109,7 @@ func (d *Device) GetMessagesToForward(peer ident.NodeID) ([]*message.Message, er
 	if p == nil {
 		return nil, fmt.Errorf("core: unknown peer %s", peer)
 	}
-	offers := d.engine.router.SelectOffers(d.node, p)
+	offers := d.engine.router.SelectOffers(nil, d.node, p)
 	out := make([]*message.Message, len(offers))
 	for i, o := range offers {
 		out[i] = o.Msg
@@ -137,8 +138,8 @@ func (d *Device) DecideBestRelay(candidates []ident.NodeID, m *message.Message) 
 	keywords := m.Keywords()
 	best := ident.Nobody
 	bestSum := -1.0
-	sorted := append([]ident.NodeID(nil), candidates...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(candidates)
+	slices.Sort(sorted)
 	for _, id := range sorted {
 		p := d.engine.Node(id)
 		if p == nil {
@@ -240,7 +241,7 @@ func (d *Device) Neighbors() []ident.NodeID {
 	for _, c := range contacts {
 		out = append(out, c.other(d.node).id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -263,6 +264,6 @@ func (e *Engine) peerViews(n *Node, dt time.Duration) []interest.PeerView {
 			Weights:      peer.table.Snapshot(),
 		})
 	}
-	sort.Slice(views, func(i, j int) bool { return views[i].Peer < views[j].Peer })
+	slices.SortFunc(views, func(x, y interest.PeerView) int { return cmp.Compare(x.Peer, y.Peer) })
 	return views
 }

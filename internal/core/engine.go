@@ -67,13 +67,12 @@ type Engine struct {
 	parallelMove bool
 	posScratch   []world.Point
 	pairBufs     [][]world.Pair
-	dueScratch   []*contact
-	// dueGrouped/dueStarts are the batched scoring pass's region-grouping
-	// scratch: the due batch counting-sorted region-major (stable, so each
-	// region's contacts keep creation order) plus per-region start offsets
-	// into it (see scoreExchanges).
-	dueGrouped []*contact
-	dueStarts  []int
+
+	// round and offers are the exchange rounds' scratch (see exchange.go):
+	// rounds run one at a time on the sim goroutine, so one of each serves
+	// every contact.
+	round  interest.Round
+	offers []routing.Offer
 
 	// Kinetic contact detection (see DESIGN.md "Kinetic contact
 	// detection"): while every mobility model is speed-bounded, the engine
@@ -107,21 +106,22 @@ type Engine struct {
 	// Observability (see observability.go): the registry behind
 	// Engine.Snapshot(), hot-path counter handles, the per-kind observer
 	// dispatch table, and the run's wall-clock / heartbeat bookkeeping.
-	reg        *obs.Registry
-	ctrUps     *obs.Counter
-	ctrUpsOpen *obs.Counter
-	ctrDowns   *obs.Counter
-	ctrStale   *obs.Counter
-	ctrRebuild *obs.Counter
-	ctrSamples *obs.Counter
-	ctrSweep   *obs.Counter
-	ctrEvict   *obs.Counter
-	observers  []obs.Observer
-	obsByKind  [][]obs.Observer
-	nEvents    uint64
-	started    bool
-	wallStart  time.Time
-	hbLast     time.Time
+	reg          *obs.Registry
+	ctrUps       *obs.Counter
+	ctrUpsOpen   *obs.Counter
+	ctrDowns     *obs.Counter
+	ctrExchanges *obs.Counter
+	ctrGossips   *obs.Counter
+	ctrRebuild   *obs.Counter
+	ctrSamples   *obs.Counter
+	ctrSweep     *obs.Counter
+	ctrEvict     *obs.Counter
+	observers    []obs.Observer
+	obsByKind    [][]obs.Observer
+	nEvents      uint64
+	started      bool
+	wallStart    time.Time
+	hbLast       time.Time
 
 	// agenda schedules per-contact periodic work (exchange and gossip
 	// rounds). It is drained at the head of each tick's contact pass — not
@@ -227,8 +227,8 @@ func NewEngine(cfg Config, specs []NodeSpec) (*Engine, error) {
 		// per-round sweeps (DESIGN.md "Lazy-decay interest tables").
 		n.table.SetClock(runner.Clock())
 		// Zero cap keeps the table unbounded; a positive cap bounds it to
-		// the top-k rows by materialized weight (DESIGN.md "Batched
-		// exchange rounds & bounded tables").
+		// the top-k rows by materialized weight (DESIGN.md "Exchange
+		// rounds & bounded tables").
 		n.table.SetCap(cfg.TableCap)
 		e.nodes = append(e.nodes, n)
 		n.lastPos = n.model.Position()
@@ -429,9 +429,10 @@ func (e *Engine) result() Result {
 // and expiries fire before the tick, the sampler observes after it.
 //
 // Each region feeds its wall-clock time to the registry's phase timers
-// (obs.PhaseMove here; updateContacts and progressContacts attribute their
-// own regions), and the tick ends with the heartbeat check so a heartbeat
-// always observes a completed step.
+// through one lap clock (see lap): every clock read closes one phase and
+// opens the next, so the tick's phases cover it without gaps. The tick
+// ends with the heartbeat check so a heartbeat always observes a completed
+// step.
 func (e *Engine) tick(now time.Duration) {
 	e.tickNo++
 	t := time.Now()
@@ -439,10 +440,18 @@ func (e *Engine) tick(now time.Duration) {
 		// Trace replays define connectivity directly; geometry is moot.
 		e.moveNodes()
 	}
-	e.reg.AddPhase(obs.PhaseMove, time.Since(t))
-	e.updateContacts(now)
-	e.progressContacts(now)
-	e.maybeHeartbeat()
+	t = e.lap(obs.PhaseMove, t)
+	t = e.updateContacts(now, t)
+	t = e.progressContacts(now, t)
+	e.maybeHeartbeat(t)
+}
+
+// lap charges phase p with the wall-clock time since start and returns the
+// current time, the start of the next phase.
+func (e *Engine) lap(p obs.Phase, start time.Time) time.Time {
+	t := time.Now()
+	e.reg.AddPhase(p, t.Sub(start))
+	return t
 }
 
 // nextDeadline advances a periodic deadline by whole intervals until it
@@ -635,17 +644,15 @@ func (e *Engine) filterCandidates(dst []world.Pair) []world.Pair {
 //
 // In trace mode the up/down transitions come from the replay cursor instead
 // of the spatial grid (the whole replay advance is attributed to the
-// contacts phase; there is no geometric detection).
-func (e *Engine) updateContacts(now time.Duration) {
-	t := time.Now()
+// contacts phase; there is no geometric detection). t opens the phase
+// and the returned time closes it (see lap).
+func (e *Engine) updateContacts(now time.Duration, t time.Time) time.Time {
 	if e.traceCursor != nil {
 		e.updateTraceContacts(now)
-		e.reg.AddPhase(obs.PhaseContacts, time.Since(t))
-		return
+		return e.lap(obs.PhaseContacts, t)
 	}
 	e.pairScratch = e.detectPairs(e.pairScratch[:0])
-	t2 := time.Now()
-	e.reg.AddPhase(obs.PhaseDetect, t2.Sub(t))
+	t = e.lap(obs.PhaseDetect, t)
 	pairs := e.pairScratch
 	old := e.liveSorted
 	next := e.liveScratch[:0]
@@ -679,7 +686,7 @@ func (e *Engine) updateContacts(now time.Duration) {
 		// teardown needs no live-set pruning.
 		e.teardownContacts(downs, false)
 	}
-	e.reg.AddPhase(obs.PhaseContacts, time.Since(t2))
+	return e.lap(obs.PhaseContacts, t)
 }
 
 // updateTraceContacts advances the replay cursor and mirrors its up/down
@@ -717,8 +724,8 @@ func (e *Engine) updateTraceContacts(now time.Duration) {
 
 // acquireContact takes a contact from the arena free list, or allocates the
 // arena's first-of-a-kind. Recycled contacts keep their transfer-queue
-// backing array, ExchangePlan scratch, and cancelled agenda handles from
-// the previous life; contactUp re-initialises everything else.
+// backing array and cancelled agenda handles from the previous life;
+// contactUp re-initialises everything else.
 func (e *Engine) acquireContact() *contact {
 	if n := len(e.contactPool); n > 0 {
 		c := e.contactPool[n-1]
@@ -733,7 +740,7 @@ func (e *Engine) acquireContact() *contact {
 // (teardownContacts) has already run contactDown, so events are cancelled,
 // transfers released, and the queue reset; only the identity fields are
 // cleared here so the next life starts clean without dropping the warm
-// queue array, plan scratch, or event handles.
+// queue array or event handles.
 func (e *Engine) releaseContact(c *contact) {
 	c.pair = world.Pair{}
 	c.a, c.b = nil, nil
@@ -791,8 +798,7 @@ func (e *Engine) contactUp(p world.Pair, now time.Duration) *contact {
 	a.peerGen++
 	b.peerGen++
 	if e.cfg.reputationActive() {
-		e.gossipReputation(a, b)
-		e.gossipReputation(b, a)
+		e.gossipRound(c)
 	}
 	if aware, ok := e.router.(routing.ContactAware); ok {
 		aware.OnContact(a, b, now)
@@ -882,7 +888,7 @@ func (e *Engine) contactDown(c *contact) {
 	if c.gossipEv != nil {
 		c.gossipEv.Cancel()
 	}
-	c.exchangeDue, c.gossipDue, c.planScored = false, false, false
+	c.exchangeDue, c.gossipDue = false, false
 	e.ctrDowns.Inc()
 	if !c.open {
 		return
@@ -924,7 +930,7 @@ func removeContact(list []*contact, c *contact) []*contact {
 			list[i] = list[last]
 			// Nil the vacated tail slot: peersOf slices are reused across
 			// the run, and a dangling pointer there would pin the dead
-			// contact (and its ExchangePlan scratch) for the run's lifetime.
+			// contact for the run's lifetime.
 			list[last] = nil
 			return list[:last]
 		}
@@ -937,13 +943,11 @@ func removeContact(list []*contact, c *contact) []*contact {
 // creation order consuming those flags and advancing transfers. Draining
 // here — after this tick's churn — means a same-tick teardown preempts a
 // due round (the cancel wins), and flags are consumed in the same
-// deterministic order the old per-contact poll used.
-func (e *Engine) progressContacts(now time.Duration) {
-	t := time.Now()
+// deterministic order the old per-contact poll used. t opens the phase
+// and the returned time closes it (see lap).
+func (e *Engine) progressContacts(now time.Duration, t time.Time) time.Time {
 	e.agenda.RunDue(now)
-	t2 := time.Now()
-	e.reg.AddPhase(obs.PhaseEvents, t2.Sub(t))
-	e.scoreExchanges(now)
+	t = e.lap(obs.PhaseEvents, t)
 	for _, c := range e.contactList {
 		if !c.open || c.dead {
 			continue
@@ -959,101 +963,12 @@ func (e *Engine) progressContacts(now time.Duration) {
 		}
 		if c.gossipDue {
 			c.gossipDue = false
-			e.gossipReputation(c.a, c.b)
-			e.gossipReputation(c.b, c.a)
+			e.gossipRound(c)
 			c.gossipEv.Reschedule(now + e.cfg.GossipInterval)
 		}
 		e.progressTransfer(c, now)
 	}
-	e.reg.AddPhase(obs.PhaseExchange, time.Since(t2))
-}
-
-// scoreExchanges is the parallel half of the exchange rounds: after the
-// agenda has raised this tick's due flags, the rounds due at this instant
-// are coalesced into one batch (in contact-creation order, the canonical
-// apply order) and the expensive read-only RTSR scoring (decay, growth,
-// acquisition — see interest.ExchangePlan) fans out over it. A serial
-// pre-pass gathers each touched node's peer tables once per batch through
-// the gen-checked Node.peerTables cache — two contacts sharing a node read
-// one list instead of rebuilding private copies, and the rebuild never
-// races. Scoring then only reads tables and those shared lists — nothing
-// mutates until the serial contact pass — so contacts sharing a node score
-// concurrently. With regions active the batch is grouped region-major
-// (credited to the lower endpoint's owning tile, the pair-crediting
-// convention) and banded proportionally so a few busy regions still use
-// every worker, each band walking one region's contacts cache-warm. The
-// serial pass then applies each plan in creation order, falling back to the
-// serial exchange when an earlier apply invalidated the plan's reads — so
-// traces stay byte-identical at any worker or region count.
-func (e *Engine) scoreExchanges(now time.Duration) {
-	if e.workers.N() <= 1 {
-		return
-	}
-	due := e.dueScratch[:0]
-	for _, c := range e.contactList {
-		if c.open && !c.dead && c.exchangeDue {
-			due = append(due, c)
-		}
-	}
-	e.dueScratch = due
-	if len(due) == 0 {
-		return
-	}
-	for _, c := range due {
-		e.refreshNodePeers(c.a)
-		e.refreshNodePeers(c.b)
-	}
-	if e.tiling == nil {
-		e.workers.Do(len(due), func(i int) {
-			c := due[i]
-			c.plan.Score(c.a.table, c.b.table, c.a.id, c.b.id,
-				c.a.peerTables, c.b.peerTables, now, now-c.exchangedAt)
-			c.planScored = true
-		})
-		return
-	}
-	// Counting sort by owning region: counts, prefix starts, then a stable
-	// placement pass (regionSizes doubles as the write cursors, and is
-	// restored to per-region counts for the shard plan).
-	for i := range e.regionSizes {
-		e.regionSizes[i] = 0
-	}
-	for _, c := range due {
-		e.regionSizes[e.ownerOf[c.a.id]]++
-	}
-	nr := len(e.regionSizes)
-	if cap(e.dueStarts) < nr+1 {
-		e.dueStarts = make([]int, nr+1)
-	}
-	starts := e.dueStarts[:nr+1]
-	starts[0] = 0
-	for i, n := range e.regionSizes {
-		starts[i+1] = starts[i] + n
-	}
-	if cap(e.dueGrouped) < len(due) {
-		e.dueGrouped = make([]*contact, len(due))
-	}
-	grouped := e.dueGrouped[:len(due)]
-	copy(e.regionSizes, starts[:nr])
-	for _, c := range due {
-		r := e.ownerOf[c.a.id]
-		grouped[e.regionSizes[r]] = c
-		e.regionSizes[r]++
-	}
-	e.dueGrouped = grouped
-	for i := range e.regionSizes {
-		e.regionSizes[i] = starts[i+1] - starts[i]
-	}
-	plan := sim.RegionShards(e.regionPlan[:0], e.regionSizes, e.workers.N())
-	e.regionPlan = plan
-	e.workers.Do(len(plan), func(i int) {
-		s := plan[i]
-		for _, c := range grouped[starts[s.Region]+s.Lo : starts[s.Region]+s.Hi] {
-			c.plan.Score(c.a.table, c.b.table, c.a.id, c.b.id,
-				c.a.peerTables, c.b.peerTables, now, now-c.exchangedAt)
-			c.planScored = true
-		}
-	})
+	return e.lap(obs.PhaseExchange, t)
 }
 
 // Workers reports the effective intra-run worker count — Config.Workers

@@ -1,43 +1,35 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"dtnsim/internal/interest"
 	"dtnsim/internal/routing"
 )
 
-// runExchange performs one RTSR + routing round over a contact: score the
+// runExchange performs one RTSR + routing round over a contact: the RTSR
 // round over both tables (eviction sweeps, shared-row refreshes, growth,
-// acquisitions — see interest.ExchangePlan), apply it, then run the routing
-// module in both directions and enqueue the negotiated transfers (Paper I
-// §2.2: "the ChitChat system first invokes the RTSR module ... then invokes
-// the message routing").
-//
-// The serial path and the parallel pre-scored path are the same code: a
-// contact the parallel pass scored applies directly unless an earlier apply
-// this tick touched the tables the plan read, in which case (and on the
-// serial path) the contact is scored here and applied immediately.
+// acquisitions — see interest.Round), then the routing module in both
+// directions, enqueueing the negotiated transfers (Paper I §2.2: "the
+// ChitChat system first invokes the RTSR module ... then invokes the
+// message routing").
 //
 // grown is the contact age accounted this round (T_c − T_v accrues
 // incrementally across periodic exchanges, see interest.Params.GrowthRate).
+// The round needs each side's full connected-peer set: an interest shared
+// by any live neighbour holds its weight (Algorithm 1).
 func (e *Engine) runExchange(c *contact, now, grown time.Duration) {
 	c.exchangedAt = now
-
-	if c.planScored {
-		c.planScored = false
-		if !c.plan.StillValid() {
-			e.ctrStale.Inc()
-			e.scoreContact(c, now, grown)
-		}
-	} else {
-		e.scoreContact(c, now, grown)
-	}
-	c.plan.Apply()
-	if n := c.plan.Evictions(); n > 0 {
+	e.ctrExchanges.Inc()
+	e.refreshNodePeers(c.a)
+	e.refreshNodePeers(c.b)
+	e.round.Exchange(c.a.table, c.b.table, c.a.id, c.b.id, c.a.peerTables, c.b.peerTables, now, grown)
+	if n := e.round.Evictions(); n > 0 {
 		e.ctrEvict.Add(uint64(n))
 	}
-	if n := c.plan.Sweeps(); n > 0 {
+	if n := e.round.Sweeps(); n > 0 {
 		e.ctrSweep.Add(uint64(n))
 	}
 
@@ -46,25 +38,12 @@ func (e *Engine) runExchange(c *contact, now, grown time.Duration) {
 	e.routeDirection(c, c.b, c.a, now)
 }
 
-// scoreContact scores the contact's RTSR round in place on its reusable
-// plan. The round needs each side's full connected-peer set: an interest
-// shared by any live neighbour holds its weight (Algorithm 1).
-func (e *Engine) scoreContact(c *contact, now, grown time.Duration) {
-	e.refreshNodePeers(c.a)
-	e.refreshNodePeers(c.b)
-	c.plan.Score(c.a.table, c.b.table, c.a.id, c.b.id, c.a.peerTables, c.b.peerTables, now, grown)
-}
-
 // refreshNodePeers rebuilds n's cached peer-table list when its peer set
 // changed since the cache was built (Node.peerGen moves on every
 // open-contact raise/teardown touching the node). The list lives on the
-// node, not the contact, so a batch of rounds due at one tick gathers each
-// node's tables once however many contacts touch it. The caching is sound
-// because scoring is insensitive to everything else about the list: the
-// shared-mask OR commutes, and a peer's table mutations are covered by the
-// plan's shape-counter validation, not by rebuilding the list. NOT safe to
-// call concurrently for the same node — the batched scoring pass refreshes
-// serially before fanning out (Engine.scoreExchanges).
+// node, not the contact, so the rounds of every contact touching a node
+// share one list. The round reads only the peers' current membership, so
+// the list needs rebuilding only when the peer set itself changes.
 func (e *Engine) refreshNodePeers(n *Node) {
 	if n.peerTablesGen != n.peerGen {
 		n.peerTables = peerTablesInto(n.peerTables[:0], e.peersOf[n.id], n)
@@ -73,34 +52,27 @@ func (e *Engine) refreshNodePeers(n *Node) {
 }
 
 // sortOffersFIFO reorders offers to destination-first, then message
-// creation order, dropping the priority/quality preference. The sort is a
-// hand-rolled stable insertion sort: offer lists are short (a handful of
-// buffered messages per direction), and sort.SliceStable's closure forces
-// the slice header to escape — this keeps the per-round routing phase
-// allocation-free.
+// creation order, dropping the priority/quality preference. The sort is
+// stable and its comparator a plain function, so the per-round routing
+// phase stays allocation-free.
 func sortOffersFIFO(offers []routing.Offer) {
-	for i := 1; i < len(offers); i++ {
-		for j := i; j > 0 && offerBefore(&offers[j], &offers[j-1]); j-- {
-			offers[j], offers[j-1] = offers[j-1], offers[j]
-		}
-	}
+	slices.SortStableFunc(offers, compareOffersFIFO)
 }
 
-// offerBefore is sortOffersFIFO's strict-less ordering: destinations before
+// compareOffersFIFO is sortOffersFIFO's ordering: destinations before
 // relays (Role descending), then message creation time, then message ID.
-func offerBefore(x, y *routing.Offer) bool {
+func compareOffersFIFO(x, y routing.Offer) int {
 	if x.Role != y.Role {
-		return x.Role > y.Role
+		return cmp.Compare(y.Role, x.Role)
 	}
 	if x.Msg.CreatedAt != y.Msg.CreatedAt {
-		return x.Msg.CreatedAt < y.Msg.CreatedAt
+		return cmp.Compare(x.Msg.CreatedAt, y.Msg.CreatedAt)
 	}
-	return x.Msg.ID < y.Msg.ID
+	return cmp.Compare(x.Msg.ID, y.Msg.ID)
 }
 
 // peerTablesInto appends the interest tables of all of n's contacts to dst
-// (the node's cached scratch slice; both the batched scoring pass and the
-// serial scoreContact fallback gather through it).
+// (the node's cached scratch slice).
 func peerTablesInto(dst []*interest.Table, contacts []*contact, n *Node) []*interest.Table {
 	for _, c := range contacts {
 		dst = append(dst, c.other(n).table)
@@ -114,7 +86,8 @@ func (e *Engine) routeDirection(c *contact, u, v *Node, now time.Duration) {
 	if u.buf.Len() == 0 {
 		return
 	}
-	offers := e.router.SelectOffers(u, v)
+	offers := e.router.SelectOffers(e.offers[:0], u, v)
+	e.offers = offers
 	if !e.cfg.incentiveActive() {
 		// The baseline has no incentive-driven priority machinery:
 		// priority-ordered transmission is part of the paper's
@@ -135,6 +108,14 @@ func (e *Engine) routeDirection(c *contact, u, v *Node, now time.Duration) {
 	}
 }
 
+// gossipRound runs one reputation gossip round over an open contact, in
+// both directions.
+func (e *Engine) gossipRound(c *contact) {
+	e.ctrGossips.Inc()
+	e.gossipReputation(c.a, c.b)
+	e.gossipReputation(c.b, c.a)
+}
+
 // gossipReputation shares src's notable opinions with dst, implementing the
 // contact-time "RTSR+DR module shares ... encountered devices' reputations"
 // step. Only opinions that have moved away from the prior are worth
@@ -146,11 +127,11 @@ func (e *Engine) gossipReputation(src, dst *Node) {
 	}
 	initial := e.cfg.Reputation.InitialRating
 	shared := 0
-	for _, id := range src.rep.Known() {
+	for i, id := range src.rep.Known() {
 		if id == dst.id || id == src.id {
 			continue
 		}
-		r := src.rep.Rating(id)
+		r := src.rep.KnownRating(i)
 		if diff := r - initial; diff < 0.25 && diff > -0.25 {
 			continue
 		}

@@ -13,9 +13,8 @@ import (
 	"dtnsim/internal/sim"
 )
 
-// refSortOffersFIFO is the sort.SliceStable formulation sortOffersFIFO
-// replaced; the hand-rolled insertion sort must reproduce it exactly,
-// stability included.
+// refSortOffersFIFO is the sort.SliceStable formulation of the FIFO offer
+// order; sortOffersFIFO must reproduce it exactly, stability included.
 func refSortOffersFIFO(offers []routing.Offer) {
 	sort.SliceStable(offers, func(i, j int) bool {
 		if offers[i].Role != offers[j].Role {
@@ -49,9 +48,9 @@ func randomOffers(rng *sim.RNG, n int) []routing.Offer {
 	return offers
 }
 
-// TestSortOffersFIFOMatchesStableSort pins the hand-rolled FIFO offer sort
-// against the sort.SliceStable reference over randomized lists: identical
-// order, including pointer-identity order among fully equal keys.
+// TestSortOffersFIFOMatchesStableSort pins the FIFO offer sort against the
+// sort.SliceStable reference over randomized lists: identical order,
+// including pointer-identity order among fully equal keys.
 func TestSortOffersFIFOMatchesStableSort(t *testing.T) {
 	rng := sim.NewRNG(5)
 	for trial := 0; trial < 200; trial++ {

@@ -69,11 +69,10 @@ type Node struct {
 	// peerGen counts changes to the node's peersOf list (open contacts
 	// raised or torn down); peerTables caches the interest tables of those
 	// contacts' far endpoints and peerTablesGen records the generation it
-	// was built at. Exchange rounds — the batched parallel scoring pass and
-	// the serial path alike — gather each node's peer tables through this
-	// gen-checked cache, so a batch of rounds due at the same tick reads the
-	// list once per node instead of rebuilding a copy per contact, and churn
-	// invalidates one list instead of every touching contact's copy
+	// was built at. Exchange rounds gather each node's peer tables through
+	// this gen-checked cache, so every round touching the node reads one
+	// list instead of rebuilding a copy per contact, and churn invalidates
+	// one list instead of every touching contact's copy
 	// (Engine.refreshNodePeers).
 	peerGen       uint64
 	peerTables    []*interest.Table

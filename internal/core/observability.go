@@ -19,7 +19,9 @@ import (
 //	contacts_up_open    the subset of raises where both radios opened
 //	contacts_down       contacts torn down (open or refused — symmetric
 //	                    with contacts_up, so up − down = contacts_live)
-//	stale_plans         pre-scored exchange plans discarded as stale
+//	exchange_rounds     RTSR + routing rounds run over open contacts
+//	gossip_rounds       reputation gossip rounds run (both directions of
+//	                    one open contact)
 //	candidate_rebuilds  kinetic candidate-list rebuilds (per region when
 //	                    the world is region-sharded)
 //	region_handoffs     node ownership transfers across region borders
@@ -49,7 +51,8 @@ func (e *Engine) initObservability(cfg Config) {
 	e.ctrUps = e.reg.Counter("contacts_up")
 	e.ctrUpsOpen = e.reg.Counter("contacts_up_open")
 	e.ctrDowns = e.reg.Counter("contacts_down")
-	e.ctrStale = e.reg.Counter("stale_plans")
+	e.ctrExchanges = e.reg.Counter("exchange_rounds")
+	e.ctrGossips = e.reg.Counter("gossip_rounds")
 	e.ctrRebuild = e.reg.Counter("candidate_rebuilds")
 	e.ctrHandoff = e.reg.Counter("region_handoffs")
 	e.ctrSamples = e.reg.Counter("rating_samples")
@@ -148,15 +151,14 @@ func (e *Engine) startRun() {
 // observers) the cost is a single comparison. Emission time (snapshot
 // build plus observer callbacks) is charged to PhaseEvents so the phase
 // totals keep accounting for the run's wall clock even under aggressive
-// heartbeat intervals.
-func (e *Engine) maybeHeartbeat() {
+// heartbeat intervals. t is the tick's closing lap time.
+func (e *Engine) maybeHeartbeat(t time.Time) {
 	if e.cfg.Heartbeat <= 0 || len(e.observers) == 0 {
 		return
 	}
-	if time.Since(e.hbLast) < e.cfg.Heartbeat {
+	if t.Sub(e.hbLast) < e.cfg.Heartbeat {
 		return
 	}
-	t := time.Now()
 	e.hbLast = t
 	snap := e.Snapshot()
 	for _, o := range e.observers {
@@ -190,11 +192,6 @@ func (e *Engine) Snapshot() obs.Snapshot {
 	}
 	return e.reg.Snapshot(e.runner.Clock().Now(), wall, e.tickNo, e.nEvents)
 }
-
-// StalePlans reports how many pre-scored exchange plans were discarded for
-// staleness over the run so far (zero when running serially). It delegates
-// to Snapshot(); new code should read the "stale_plans" counter there.
-func (e *Engine) StalePlans() uint64 { return e.Snapshot().Counter("stale_plans") }
 
 // ContactRebuilds reports how many times the kinetic candidate list was
 // rebuilt from the grid over the run so far (stationary scenarios rebuild

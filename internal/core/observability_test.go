@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dtnsim/internal/core"
+	"dtnsim/internal/ident"
 	"dtnsim/internal/obs"
 	"dtnsim/internal/report"
 	"dtnsim/internal/scenario"
@@ -192,9 +193,6 @@ func TestEngineSnapshotAccessorsDelegate(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := eng.Snapshot()
-	if got := eng.StalePlans(); got != snap.Counter("stale_plans") {
-		t.Errorf("StalePlans() = %d, snapshot counter = %d", got, snap.Counter("stale_plans"))
-	}
 	if got := eng.ContactRebuilds(); got != snap.Counter("candidate_rebuilds") {
 		t.Errorf("ContactRebuilds() = %d, snapshot counter = %d", got, snap.Counter("candidate_rebuilds"))
 	}
@@ -209,6 +207,63 @@ func TestEngineSnapshotAccessorsDelegate(t *testing.T) {
 	}
 	if sum := snap.PhaseSum(); sum > snap.WallSeconds {
 		t.Errorf("phase sum %v exceeds wall clock %v", sum, snap.WallSeconds)
+	}
+}
+
+// TestRoundCountersMatchRoundsRun checks the exchange_rounds and
+// gossip_rounds counters against the rounds the contact trace implies: an
+// open contact runs one exchange and one gossip round when it comes up,
+// then one of each every ExchangeInterval / GossipInterval of its life,
+// except at the tick that tears it down (teardown precedes the rounds).
+func TestRoundCountersMatchRoundsRun(t *testing.T) {
+	cfg, specs := obsTestConfig(t)
+	cfg.GossipInterval = time.Minute
+	rec := &lifecycleObserver{kinds: []report.Kind{report.ContactUp, report.ContactDown}}
+	cfg.Observers = append(cfg.Observers, rec)
+	eng, err := core.NewEngine(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// rounds counts the periodic rounds of a contact up at from whose last
+	// tick is at last.
+	rounds := func(from, last, every time.Duration) uint64 {
+		return uint64((last - from) / every)
+	}
+	type pair struct{ a, b ident.NodeID }
+	up := map[pair]time.Duration{}
+	var ups, exchanges, gossips uint64
+	end := eng.Now()
+	for _, ev := range rec.events {
+		p := pair{ev.A, ev.B}
+		switch ev.Kind {
+		case report.ContactUp:
+			up[p] = ev.At
+			ups++
+			exchanges++
+			gossips++
+		case report.ContactDown:
+			exchanges += rounds(up[p], ev.At-cfg.Step, cfg.ExchangeInterval)
+			gossips += rounds(up[p], ev.At-cfg.Step, cfg.GossipInterval)
+			delete(up, p)
+		}
+	}
+	for _, from := range up {
+		exchanges += rounds(from, end, cfg.ExchangeInterval)
+		gossips += rounds(from, end, cfg.GossipInterval)
+	}
+	snap := eng.Snapshot()
+	if exchanges <= ups || gossips <= ups || len(up) == 0 || len(up) == int(ups) {
+		t.Fatalf("%d contacts (%d up at the end) imply %d exchange and %d gossip rounds; the scenario must exercise periodic rounds, teardowns and contacts alive at the end",
+			ups, len(up), exchanges, gossips)
+	}
+	if got := snap.Counter("exchange_rounds"); got != exchanges {
+		t.Errorf("exchange_rounds = %d, the contact trace implies %d", got, exchanges)
+	}
+	if got := snap.Counter("gossip_rounds"); got != gossips {
+		t.Errorf("gossip_rounds = %d, the contact trace implies %d", got, gossips)
 	}
 }
 

@@ -61,8 +61,8 @@ func requireSameTrace(t *testing.T, label string, got, want []report.Event) {
 // TestEngineParallelTraceEquality is the core-level determinism contract:
 // the complete event trace — contacts, exchanges, transfers, payments — is
 // identical whatever Config.Workers says. This is also the test that puts
-// the sharded mobility, pair detection, and exchange scoring under the race
-// detector in this package's -race CI run.
+// the sharded mobility and pair detection under the race detector in this
+// package's -race CI run.
 func TestEngineParallelTraceEquality(t *testing.T) {
 	spec := scenario.Default(core.SchemeIncentive)
 	spec.Nodes = 40
@@ -87,7 +87,7 @@ func TestEngineParallelTraceEquality(t *testing.T) {
 // network containing one GroupMember — whose Advance reads its leader's
 // live position — must keep the mobility phase serial, and the run must
 // still match the fully serial trace with workers enabled (pair detection
-// and exchange scoring still shard).
+// still shards).
 func TestEngineParallelWithGroupMobility(t *testing.T) {
 	spec := scenario.Default(core.SchemeIncentive)
 	spec.Nodes = 30

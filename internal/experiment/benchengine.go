@@ -43,10 +43,6 @@ type EngineBenchPoint struct {
 	// over the measured window — the per-phase decomposition of
 	// MsPerSimSecond, taken from the engine's obs.Snapshot timers.
 	PhaseMsPerSimSecond map[string]float64 `json:"phase_ms_per_sim_second"`
-	// StalePlans counts optimistic exchange plans that had to fall back to
-	// the serial path during the measured window (always 0 at workers=1,
-	// where no plans are scored).
-	StalePlans uint64 `json:"stale_plans"`
 	// CandidateRebuilds counts kinetic contact-detection candidate-list
 	// rebuilds during the whole run (warmup included); 0 means the kinetic
 	// path was disabled. When the world is region-sharded each region's
@@ -129,9 +125,9 @@ func EngineBench(ctx context.Context, grid []EngineBenchPoint, simSeconds, repea
 		}
 		out = append(out, best)
 		if log != nil {
-			fmt.Fprintf(log, "bench-engine nodes=%d workers=%d(eff %d) regions=%d: %.2f ms/sim-s (exchange %.2f), %.0f B/sim-s, stale=%d\n",
+			fmt.Fprintf(log, "bench-engine nodes=%d workers=%d(eff %d) regions=%d: %.2f ms/sim-s (exchange %.2f), %.0f B/sim-s\n",
 				best.Nodes, best.Workers, best.EffectiveWorkers, best.Regions, best.MsPerSimSecond,
-				best.PhaseMsPerSimSecond["exchange"], best.BytesPerSimSecond, best.StalePlans)
+				best.PhaseMsPerSimSecond["exchange"], best.BytesPerSimSecond)
 		}
 	}
 	return out, nil
@@ -179,7 +175,6 @@ func engineBenchRun(ctx context.Context, pt EngineBenchPoint, simSeconds int) (E
 	pt.MsPerSimSecond = float64(wall) / float64(time.Millisecond) / pt.SimSeconds
 	pt.BytesPerSimSecond = float64(after.TotalAlloc-before.TotalAlloc) / pt.SimSeconds
 	pt.PhaseMsPerSimSecond = phaseColumns(window, pt.SimSeconds)
-	pt.StalePlans = eng.StalePlans()
 	pt.CandidateRebuilds = eng.ContactRebuilds()
 	pt.RegionHandoffs = eng.Snapshot().Counter("region_handoffs")
 	pt.GoMaxProcs = runtime.GOMAXPROCS(0)

@@ -142,8 +142,7 @@ func TestKernelByteIdenticalToPollingSeed(t *testing.T) {
 // TestParallelWorkersByteIdentical is the parallel pipeline's determinism
 // guard: running the golden scenario with 2 and 8 workers must reproduce
 // the same recorded golden, byte for byte, that the serial engine produces
-// — sharded mobility, sharded pair detection, and optimistic exchange
-// scoring included. (Both worker counts matter: 2 exercises shard-boundary
+// — sharded mobility and sharded pair detection included. (Both worker counts matter: 2 exercises shard-boundary
 // merging, 8 oversubscribes the 60-node contact set.)
 func TestParallelWorkersByteIdentical(t *testing.T) {
 	if testing.Short() {
@@ -259,13 +258,10 @@ func TestRegionShardedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestBatchedExchangeByteIdentical is the batched contact-round scoring
-// pass's determinism guard: coalescing every round due at a tick into one
-// per-tick batch — gathered once per node through the shared peer-table
-// caches, grouped region-major when the world is sharded, and scored in
-// parallel — must reproduce the recorded serial golden byte for byte across
-// the worker × region matrix. The batch is only ever *scored* out of order;
-// plans still apply serially in contact-creation order, so no exchange
+// TestBatchedExchangeByteIdentical is the exchange rounds' determinism
+// guard across the worker × region matrix: the rounds due at a tick run in
+// contact-creation order whatever the worker or region count, so the run
+// must reproduce the recorded serial golden byte for byte — no exchange
 // outcome, payment, or transfer may shift by even one tick.
 func TestBatchedExchangeByteIdentical(t *testing.T) {
 	if testing.Short() {

@@ -1,8 +1,8 @@
 package interest
 
 // bitset is a little-endian packed bit vector keyed by interned keyword ID.
-// The struct-of-arrays table keeps two of them (present, direct); the
-// exchange plan keeps two more per endpoint (shared, evict). All of the
+// The struct-of-arrays table keeps three of them (present, direct, sat);
+// the exchange round keeps one more per endpoint (shared). All of the
 // exchange round's set algebra — "which of my rows does any connected peer
 // hold", "which rows are alive on both sides" — runs 64 rows per word on
 // these instead of probing per-row pointers.

@@ -3,17 +3,7 @@ package interest
 import (
 	"math/bits"
 	"time"
-
-	"dtnsim/internal/ident"
 )
-
-// This file holds the pairwise exchange entry points. ExchangeGrow is the
-// historical API — Decay + exchange of decayed weights + Grow for both
-// tables at once (Paper I §2.3) — now implemented as a Score+Apply round
-// over the shared ExchangePlan (score.go), so the serial path and the
-// engine's optimistically parallel scored path are the same code.
-// DecayAgainst remains as the eager reference implementation the
-// equivalence tests lock the plan against.
 
 // DecayAgainst applies the decay algorithm eagerly at time now, treating as
 // "connected" every keyword held by any of the peers (Algorithm 1's "if a
@@ -21,9 +11,9 @@ import (
 // re-anchored at their materialized weight, pruned when dead). The peers
 // list must contain every currently connected device's table, not just the
 // exchange partner — a transient interest learned from one neighbour must
-// not decay while that neighbour is still attached.
+// not decay while that neighbour is still attached. It is the eager
+// reference the equivalence tests lock Round.Exchange (score.go) against.
 func (t *Table) DecayAgainst(now time.Duration, peers ...*Table) {
-	t.version++
 	prune := t.pruneScratch[:0]
 	for wi, w := range t.present {
 		m := w
@@ -53,20 +43,4 @@ func (t *Table) DecayAgainst(now time.Duration, peers ...*Table) {
 	if len(prune) > 0 {
 		t.maybeCompact()
 	}
-}
-
-// ExchangeGrow runs the pairwise RTSR exchange for a contact that has
-// lasted dt since the previous exchange: sweep dead rows and refresh shared
-// anchors in both tables (against all of their respective connected peers),
-// then grow both from the other's observed weights, acquiring unknown
-// keywords as transient interests. Both tables must share Params and an
-// Interner (the engine builds every node from one Config). aPeers/bPeers
-// are the full connected-peer table lists for a and b; each must include
-// the exchange partner.
-func ExchangeGrow(a, b *Table, aID, bID ident.NodeID, aPeers, bPeers []*Table, now time.Duration, dt time.Duration) {
-	if a.plan == nil {
-		a.plan = &ExchangePlan{}
-	}
-	a.plan.Score(a, b, aID, bID, aPeers, bPeers, now, dt)
-	a.plan.Apply()
 }

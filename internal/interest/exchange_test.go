@@ -8,6 +8,12 @@ import (
 	"dtnsim/internal/ident"
 )
 
+// exchangeGrow runs one pairwise exchange round on fresh scratch.
+func exchangeGrow(a, b *Table, aID, bID ident.NodeID, aPeers, bPeers []*Table, now, dt time.Duration) {
+	var r Round
+	r.Exchange(a, b, aID, bID, aPeers, bPeers, now, dt)
+}
+
 // buildPair creates two tables over one interner with a mix of shared,
 // one-sided, direct, and transient interests.
 func buildPair(t *testing.T) (*Table, *Table) {
@@ -43,7 +49,7 @@ func TestExchangeGrowMatchesSlowPath(t *testing.T) {
 	fastA, fastB := buildPair(t)
 	slowA, slowB := buildPair(t)
 
-	ExchangeGrow(fastA, fastB, 1, 2, []*Table{fastB}, []*Table{fastA}, now, dt)
+	exchangeGrow(fastA, fastB, 1, 2, []*Table{fastB}, []*Table{fastA}, now, dt)
 
 	// Literal sequence: decay both against each other's keyword sets,
 	// exchange decayed snapshots, grow both.
@@ -80,7 +86,7 @@ func keywordSet(t *Table) map[string]bool {
 
 func TestExchangeGrowAcquiresBothWays(t *testing.T) {
 	a, b := buildPair(t)
-	ExchangeGrow(a, b, 1, 2, []*Table{b}, []*Table{a}, 30*time.Second, 10*time.Second)
+	exchangeGrow(a, b, 1, 2, []*Table{b}, []*Table{a}, 30*time.Second, 10*time.Second)
 	if !a.Has("b-only") {
 		t.Error("a did not acquire b's interest")
 	}
@@ -100,7 +106,7 @@ func TestExchangeGrowSymmetricForIdenticalTables(t *testing.T) {
 		a.DeclareDirect(kw, 0)
 		b.DeclareDirect(kw, 0)
 	}
-	ExchangeGrow(a, b, 1, 2, []*Table{b}, []*Table{a}, time.Minute, 20*time.Second)
+	exchangeGrow(a, b, 1, 2, []*Table{b}, []*Table{a}, time.Minute, 20*time.Second)
 	for _, kw := range []string{"x", "y", "z"} {
 		if a.Weight(kw) != b.Weight(kw) {
 			t.Errorf("identical tables diverged on %q: %v vs %v", kw, a.Weight(kw), b.Weight(kw))

@@ -124,8 +124,9 @@ type Table struct {
 	// one-sided: a clear bit on a saturated row only costs the per-bit
 	// weight check, but a set bit on an unsaturated row would skip growth
 	// that must happen. Every weight write therefore keeps the bit exact
-	// (set iff the written weight == MaxWeight), and scoreGrowth masks whole
-	// words of mutually saturated rows without loading their weights.
+	// (set iff the written weight == MaxWeight), and the exchange's growth
+	// masks whole words of mutually saturated rows without loading their
+	// weights.
 	sat bitset
 
 	// capRows bounds the live row count (0 = unlimited): when an insert
@@ -144,28 +145,14 @@ type Table struct {
 	// eviction folded into the next touch instead of a per-round pass.
 	nextDeath time.Duration
 
-	// version counts mutations and shape counts the subset that changes
-	// membership (inserts and removes). The parallel exchange-scoring phase
-	// records, for every table a plan read, the counter matching what it
-	// read — full versions for the two endpoints (weights, flags), shapes
-	// for the other connected peers (presence checks only) — and the plan
-	// applies only while those counters still match; otherwise the round
-	// recomputes serially (see ExchangePlan). Every mutating method bumps
-	// version; row inserts and removals bump shape.
-	version uint64
-	shape   uint64
-
 	// invBeta and invBetaTheta are 1/β and 1/(β·θ), precomputed so the
 	// death-bound arithmetic on the sweep path is multiplies, not divides.
 	// Params are immutable after construction.
 	invBeta      float64
 	invBetaTheta float64
 
-	// pruneScratch backs the legacy Decay/DecayAgainst prune list; plan is
-	// the lazily-allocated scratch behind the ExchangeGrow wrapper. Tables
-	// are single-goroutine, like the engine that owns them.
+	// pruneScratch backs the legacy Decay/DecayAgainst prune list.
 	pruneScratch []int32
-	plan         *ExchangePlan
 }
 
 // NewTable creates an empty table sharing the given interner. Every table
@@ -216,17 +203,6 @@ func (t *Table) CapEvictions() uint64 { return t.capEvictions }
 // its live extent after evictions emptied the tail.
 func (t *Table) Compactions() uint64 { return t.compactions }
 
-// Version returns the table's mutation counter. Two reads returning the
-// same value bracket a span with no table mutations — the staleness check
-// behind the engine's optimistic parallel exchange scoring.
-func (t *Table) Version() uint64 { return t.version }
-
-// Shape returns the membership counter: it advances only when a row is
-// inserted or removed, not on weight or flag updates. Exchange plans
-// validate peer tables by shape because the shared-row masks read only peer
-// membership.
-func (t *Table) Shape() uint64 { return t.shape }
-
 // ensure grows the payload slices to cover id.
 func (t *Table) ensure(id int32) {
 	for int(id) >= len(t.weights) {
@@ -253,7 +229,6 @@ func (t *Table) insertRow(id int32, w float64, direct bool, at time.Duration, fr
 	t.lastShared[id] = at
 	t.source[id] = from
 	t.count++
-	t.shape++
 	if t.capRows > 0 && t.count > t.capRows {
 		t.evictOverCap(at)
 	}
@@ -271,7 +246,6 @@ func (t *Table) removeRow(id int32) {
 	t.lastShared[id] = 0
 	t.source[id] = ident.Nobody
 	t.count--
-	t.shape++
 }
 
 // evictOverCap restores the row-count bound after an insert pushed past it:
@@ -342,7 +316,7 @@ func (t *Table) maybeCompact() {
 // decayedWeight applies Algorithm 1's decay formula to a weight anchored
 // elapsed ago, returning the materialized value and whether a transient row
 // is dead (below the prune threshold). This one function backs the legacy
-// eager sweeps, the lazy read paths, and the exchange scoring, so every
+// eager sweeps, the lazy read paths, and the exchange round, so every
 // consumer sees bit-identical arithmetic.
 //
 // Edge-case guard (documented in DESIGN.md): the printed divisor β·(T_c-T_l)
@@ -421,7 +395,6 @@ func (t *Table) mergeDeath(w float64, at time.Duration) {
 // keep decaying against the transient row's stale T_l (historically it did,
 // collapsing the weight bonus toward 0.5 on the next decay).
 func (t *Table) DeclareDirect(kw string, now time.Duration) {
-	t.version++
 	id := t.in.ID(kw)
 	if t.present.test(id) {
 		w := t.weights[id]
@@ -448,7 +421,6 @@ func (t *Table) DeclareDirect(kw string, now time.Duration) {
 // Acquire records a transient interest learned from a peer, starting at
 // weight zero (growth will raise it while the contact lasts).
 func (t *Table) Acquire(kw string, from ident.NodeID, now time.Duration) {
-	t.version++
 	id := t.in.ID(kw)
 	if t.present.test(id) {
 		return
@@ -495,7 +467,6 @@ func (t *Table) SetWeight(kw string, w float64) {
 	if !ok || !t.present.test(id) {
 		return
 	}
-	t.version++
 	if w == MaxWeight {
 		t.sat.set(id)
 	} else {
@@ -514,7 +485,6 @@ func (t *Table) SetLastShared(kw string, at time.Duration) {
 	if !ok || !t.present.test(id) {
 		return
 	}
-	t.version++
 	t.lastShared[id] = at
 	if !t.direct.test(id) {
 		t.mergeDeath(t.weights[id], at)
@@ -631,10 +601,9 @@ func (t *Table) MeanWeightIDs(ids []int32) float64 {
 // caller happened to run, not on elapsed time.)
 //
 // The engine's exchange path no longer calls this — rounds go through
-// ExchangePlan and reads materialize lazily — but the operator façade
+// Round.Exchange and reads materialize lazily — but the operator façade
 // (Device.DecayWeights) and the equivalence tests keep the eager form.
 func (t *Table) Decay(now time.Duration, connected map[string]bool) {
-	t.version++
 	prune := t.pruneScratch[:0]
 	for wi, w := range t.present {
 		m := w
@@ -704,7 +673,6 @@ type PeerWeight struct {
 // acquired as transient interests, then grown — this is how "interests of
 // the connected devices can be acquired" (Paper II §3.2).
 func (t *Table) Grow(now time.Duration, peers []PeerView) {
-	t.version++
 	// Acquire unknown keywords first so Δ accrues for them this round.
 	for _, pv := range peers {
 		for kw := range pv.Weights {

@@ -35,11 +35,13 @@ func benchTables(b *testing.B, interests int) (*Table, *Table) {
 // Table 5.1-sized tables (20 interests per node).
 func BenchmarkExchangeGrow(b *testing.B) {
 	a, t2 := benchTables(b, 40)
+	aPeers, bPeers := []*Table{t2}, []*Table{a}
+	var r Round
 	now := time.Duration(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now += 10 * time.Second
-		ExchangeGrow(a, t2, 1, 2, []*Table{t2}, []*Table{a}, now, 10*time.Second)
+		r.Exchange(a, t2, 1, 2, aPeers, bPeers, now, 10*time.Second)
 	}
 }
 
@@ -107,11 +109,12 @@ func BenchmarkInterestTable(b *testing.B) {
 			t := benchBigTable(b, in, n, 1, 0)
 			peer := benchBigTable(b, in, n, 2, 0)
 			aPeers, bPeers := []*Table{peer}, []*Table{t}
+			var r Round
 			now := time.Duration(0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				now += 10 * time.Second
-				ExchangeGrow(t, peer, 1, 2, aPeers, bPeers, now, 10*time.Second)
+				r.Exchange(t, peer, 1, 2, aPeers, bPeers, now, 10*time.Second)
 			}
 		})
 	}

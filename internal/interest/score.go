@@ -9,12 +9,9 @@ import (
 )
 
 // This file holds the pairwise RTSR exchange round over the lazy
-// struct-of-arrays tables. ExchangePlan.Score computes the full outcome of
-// one round — eviction sweeps, shared-row refreshes, growth, acquisitions —
-// without touching either table; Apply serializes the writes. ExchangeGrow
-// (exchange.go) is now a thin Score+Apply wrapper, so the parallel scored
-// path and the serial fallback are the same implementation by construction
-// and cannot drift apart.
+// struct-of-arrays tables: Round.Exchange runs one contact's round — eviction
+// sweeps, shared-row refreshes, growth, acquisitions — as a single in-place
+// pass over both tables.
 //
 // Under lazy decay a round never rewrites unshared rows: their stored
 // anchors already encode the decayed value (readers materialize it), so the
@@ -24,173 +21,89 @@ import (
 // The historical eager round rewrote every row of both tables and probed
 // every (row, peer) pair; this one is bitset algebra plus O(touched rows).
 //
-// The concurrency scheme is optimistic and unchanged: Score records a
-// counter for every table it read — the full version counter for the two
-// endpoints (whose weights, anchors, and deadline it read) and only the
-// shape counter for the other connected peers (whose presence masks it
-// read). A plan may be applied only while StillValid reports true;
-// otherwise the engine re-scores the contact serially. Scoring preserves
-// the eager round's ordering asymmetry: side a is scored first, seeing
-// every peer's (including b's) pre-sweep membership; side b is scored
-// second, seeing a's post-sweep membership via a's freshly scored plan.
+// Writing in place keeps the eager round's ordering rules explicit:
+//
+//   - a's shared mask sees every peer's membership (b's included) before
+//     either sweep; a's sweep then evicts in place, so b's shared mask sees
+//     a's post-sweep membership.
+//   - growth reads both sides' anchor weights for a row before it writes
+//     either.
+//   - acquisitions are judged against both sides' post-sweep membership and
+//     collected for both sides before any acquired row is inserted (an
+//     insert may cap-evict a row the partner would otherwise acquire).
+//   - each side's writes land in the order evictions, refresh, growth,
+//     deadline rebuild, inserts, compaction.
 
-// ExchangePlan is a reusable scored-but-unapplied pairwise exchange.
-// Not safe for concurrent use; the engine keeps one per contact.
-type ExchangePlan struct {
-	a, b     *Table
-	aID, bID ident.NodeID
-	now      time.Duration
-
-	aPlan, bPlan tablePlan
-
-	// tables/versions snapshot the endpoints' full version counters;
-	// peerTables/peerShapes snapshot the connected peers' shape counters.
-	// Together they cover everything Score read, for StillValid.
-	tables     []*Table
-	versions   []uint64
-	peerTables []*Table
-	peerShapes []uint64
+// Round is the reusable scratch of the pairwise exchange round; the zero
+// value is ready. Not safe for concurrent use.
+type Round struct {
+	a, b side
 }
 
-// tablePlan is the pending outcome for one endpoint: the touched-row sets
-// of the round, as bitsets and ID lists over the table's interned IDs.
-type tablePlan struct {
-	// shared marks the rows held by at least one connected peer; Apply
-	// refreshes their anchor time to now.
+// side is one endpoint's per-round state.
+type side struct {
+	// shared marks the rows held by at least one connected peer; their
+	// anchor time is refreshed to now.
 	shared bitset
-	// evictSet marks the transient rows the sweep found dead; swept is
-	// whether the sweep ran (the table's nextDeath deadline had passed) and
-	// evicted counts the marked rows. sweepDeath is the min death bound of
-	// the sweep's surviving candidates, folded into the fresh table deadline
-	// by apply — the sweep walk computes it in passing so no separate
-	// recompute pass over the table is needed.
-	evictSet   bitset
-	evicted    int
+	// swept is whether the eviction sweep ran (the table's nextDeath
+	// deadline had passed) and evicted how many rows it removed.
+	// sweepDeath is the min death bound of the sweep's surviving
+	// candidates, folded into the rebuilt table deadline — the sweep walk
+	// computes it in passing so no separate recompute pass is needed.
 	swept      bool
+	evicted    int
 	sweepDeath time.Duration
-	// growIDs/growW are the mutually-held rows and their post-growth
-	// anchor weights; acqIDs/acqW the partner-only rows acquired this
-	// round with their first-growth weights. Both ascending by ID.
-	growIDs []int32
-	growW   []float64
-	acqIDs  []int32
-	acqW    []float64
+	// acqIDs/acqW are the partner-only rows acquired this round with their
+	// first-growth weights, ascending by ID.
+	acqIDs []int32
+	acqW   []float64
 }
 
-// Score computes the full exchange outcome for a contact that has lasted dt
-// since its previous exchange, reading but never writing the tables. The
-// arguments mirror ExchangeGrow: aPeers/bPeers are the complete
-// connected-peer table lists (each including the partner). Score may run
-// concurrently with other Scores over the same tables, but not with any
-// table mutation.
-func (p *ExchangePlan) Score(a, b *Table, aID, bID ident.NodeID, aPeers, bPeers []*Table, now, dt time.Duration) {
-	p.a, p.b, p.aID, p.bID, p.now = a, b, aID, bID, now
-	p.captureVersions(a, b, aPeers, bPeers)
-
-	// Sweep/refresh phase, preserving the eager round's ordering asymmetry:
-	// a is scored first, seeing every peer (including b) pre-sweep; b is
-	// scored second, seeing a's membership post-sweep via a's plan, and
-	// every other peer pre-sweep.
-	p.aPlan.scoreRound(a, now, aPeers, nil, nil)
-	if p.aPlan.evicted > 0 {
-		p.bPlan.scoreRound(b, now, bPeers, a, &p.aPlan)
-	} else {
-		// a's post-sweep membership equals its live membership, so b's
-		// round needs no partner substitution.
-		p.bPlan.scoreRound(b, now, bPeers, nil, nil)
-	}
-
-	// Growth phase: both deltas read the other side's anchor weights —
-	// mutually-held rows are shared on both sides, so their anchors are
-	// exactly the eager round's decayed-and-refreshed values.
-	scoreGrowth(&p.aPlan, &p.bPlan, a, b, dt)
-
-	// Acquisition phase: each side acquires the rows only the partner
-	// holds post-sweep, at the partner's observed (materialized) weight.
+// Exchange runs the pairwise RTSR exchange for a contact that has lasted dt
+// since its previous exchange: sweep dead rows and refresh shared anchors
+// in both tables (against all of their respective connected peers), then
+// grow both from the other's anchor weights, acquiring unknown keywords as
+// transient interests. Both tables must share Params and an Interner (the
+// engine builds every node from one Config). aPeers/bPeers are the full
+// connected-peer table lists for a and b; each must include the partner.
+func (r *Round) Exchange(a, b *Table, aID, bID ident.NodeID, aPeers, bPeers []*Table, now, dt time.Duration) {
+	r.a.sweep(a, now, aPeers)
+	r.b.sweep(b, now, bPeers)
+	r.a.refresh(a, now)
+	r.b.refresh(b, now)
 	sec := dt.Seconds()
-	p.aPlan.scoreAcquisitions(a, &p.bPlan, b, now, a.params.GrowthRate, sec)
-	p.bPlan.scoreAcquisitions(b, &p.aPlan, a, now, b.params.GrowthRate, sec)
+	grow(a, b, sec)
+	r.a.rebuildDeadline(a, now)
+	r.b.rebuildDeadline(b, now)
+	r.a.collectAcquisitions(a, &r.b, b, now, a.params.GrowthRate, sec)
+	r.b.collectAcquisitions(b, &r.a, a, now, b.params.GrowthRate, sec)
+	r.a.insertAcquisitions(a, bID, now)
+	r.b.insertAcquisitions(b, aID, now)
 }
 
-func (p *ExchangePlan) captureVersions(a, b *Table, aPeers, bPeers []*Table) {
-	p.tables = append(p.tables[:0], a, b)
-	p.versions = append(p.versions[:0], a.version, b.version)
-	p.peerTables = p.peerTables[:0]
-	p.peerShapes = p.peerShapes[:0]
-	for _, t := range aPeers {
-		p.recordPeer(t, b)
-	}
-	for _, t := range bPeers {
-		p.recordPeer(t, a)
-	}
-}
+// Evictions reports how many rows the last round's sweeps evicted.
+func (r *Round) Evictions() int { return r.a.evicted + r.b.evicted }
 
-// recordPeer snapshots a peer's shape counter. The partner appears in each
-// side's peer list but is already version-tracked as an endpoint, so it is
-// skipped here.
-func (p *ExchangePlan) recordPeer(t, partner *Table) {
-	if t == partner {
-		return
-	}
-	p.peerTables = append(p.peerTables, t)
-	p.peerShapes = append(p.peerShapes, t.shape)
-}
-
-// StillValid reports whether nothing Score read has changed since: the
-// endpoints' tables are unmutated and the peers' memberships are unchanged
-// (peer weight updates are invisible to a plan and do not invalidate it).
-// A stale plan must be discarded and the contact re-scored.
-func (p *ExchangePlan) StillValid() bool {
-	for i, t := range p.tables {
-		if t.version != p.versions[i] {
-			return false
-		}
-	}
-	for i, t := range p.peerTables {
-		if t.shape != p.peerShapes[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Apply writes the scored outcome into both tables. Must only be called
-// while StillValid holds, from the single goroutine that owns the tables.
-func (p *ExchangePlan) Apply() {
-	p.aPlan.apply(p.a, p.bID, p.now)
-	p.bPlan.apply(p.b, p.aID, p.now)
-}
-
-// Evictions reports how many rows the plan's sweeps evicted; valid after
-// Score until the next Score.
-func (p *ExchangePlan) Evictions() int { return p.aPlan.evicted + p.bPlan.evicted }
-
-// Sweeps reports how many of the two endpoints ran an eviction sweep this
-// round (0–2); valid after Score until the next Score.
-func (p *ExchangePlan) Sweeps() int {
+// Sweeps reports how many of the two endpoints ran an eviction sweep in the
+// last round (0–2).
+func (r *Round) Sweeps() int {
 	n := 0
-	if p.aPlan.swept {
+	if r.a.swept {
 		n++
 	}
-	if p.bPlan.swept {
+	if r.b.swept {
 		n++
 	}
 	return n
 }
 
-// scoreRound computes one endpoint's shared mask and, when the table's
-// eviction deadline has passed, its dead-row sweep. partner/partnerPlan,
-// when non-nil, substitute the partner's post-sweep membership for its live
-// rows wherever the peer list names the partner.
-func (p *tablePlan) scoreRound(t *Table, now time.Duration, peers []*Table, partner *Table, partnerPlan *tablePlan) {
+// sweep computes the endpoint's shared mask from its peers' current
+// membership and, when the table's eviction deadline has passed, evicts
+// its dead rows in place.
+func (s *side) sweep(t *Table, now time.Duration, peers []*Table) {
 	nw := len(t.present)
-	p.shared = p.shared.reset(nw)
-	p.evictSet = p.evictSet.reset(nw)
-	p.evicted = 0
-	p.growIDs = p.growIDs[:0]
-	p.growW = p.growW[:0]
-	p.acqIDs = p.acqIDs[:0]
-	p.acqW = p.acqW[:0]
+	s.shared = s.shared.reset(nw)
+	s.evicted = 0
 
 	// shared = t.present ∩ (∪ peers.present), 64 rows per word. Algorithm
 	// 1's "if a device with I is connected": these rows hold their weight
@@ -198,13 +111,9 @@ func (p *tablePlan) scoreRound(t *Table, now time.Duration, peers []*Table, part
 	for wi := 0; wi < nw; wi++ {
 		var u uint64
 		for _, peer := range peers {
-			pw := peer.present.word(wi)
-			if peer == partner {
-				pw &^= partnerPlan.evictSet.word(wi)
-			}
-			u |= pw
+			u |= peer.present.word(wi)
 		}
-		p.shared[wi] = t.present[wi] & u
+		s.shared[wi] = t.present[wi] & u
 	}
 
 	// Eviction sweep, only when a transient row could have died since the
@@ -212,78 +121,63 @@ func (p *tablePlan) scoreRound(t *Table, now time.Duration, peers []*Table, part
 	// held regardless of weight, exactly as the eager round held them —
 	// and deadRow is the same formula the eager prune used, so the sweep
 	// evicts exactly the rows the eager per-round pass would have.
-	p.swept = t.params.PruneBelow > 0 && now >= t.nextDeath
-	if !p.swept {
+	s.swept = t.params.PruneBelow > 0 && now >= t.nextDeath
+	if !s.swept {
 		return
 	}
-	p.sweepDeath = noDeath
+	s.sweepDeath = noDeath
 	for wi := 0; wi < nw; wi++ {
-		m := t.present[wi] &^ t.direct.word(wi) &^ p.shared[wi]
+		m := t.present[wi] &^ t.direct.word(wi) &^ s.shared[wi]
 		for m != 0 {
-			b := bits.TrailingZeros64(m)
+			id := int32(wi<<6 + bits.TrailingZeros64(m))
 			m &= m - 1
-			id := int32(wi<<6 + b)
 			if t.deadRow(id, now) {
-				p.evictSet[wi] |= 1 << uint(b)
-				p.evicted++
-			} else if d := t.deathBound(t.weights[id], t.lastShared[id]); d < p.sweepDeath {
-				// Survivors keep their stored (w, T_l) through Apply — they
-				// are by construction unshared, not grown, not acquired — so
-				// their bounds can be folded into the new deadline here, in
-				// the walk that already visits them.
-				p.sweepDeath = d
+				t.removeRow(id)
+				s.evicted++
+			} else if d := t.deathBound(t.weights[id], t.lastShared[id]); d < s.sweepDeath {
+				// Survivors keep their stored (w, T_l) through the round —
+				// they are by construction unshared, not grown, not
+				// acquired — so their bounds fold into the new deadline
+				// here, in the walk that already visits them.
+				s.sweepDeath = d
 			}
 		}
 	}
 }
 
-// scoreGrowth fills both plans' growth lists: every row alive on both sides
-// post-sweep grows from the other side's anchor weight, reproducing the
-// eager growthDeltas+applyDeltas arithmetic bit for bit.
-func scoreGrowth(aPlan, bPlan *tablePlan, a, b *Table, dt time.Duration) {
-	sec := dt.Seconds()
-	nw := len(a.present)
-	if n := len(b.present); n < nw {
-		nw = n
+// refresh re-anchors the shared rows at now. Converged tables share whole
+// words of rows, which take a plain fill instead of a bit walk.
+func (s *side) refresh(t *Table, now time.Duration) {
+	for wi, w := range s.shared {
+		if w == ^uint64(0) {
+			ls := t.lastShared[wi<<6 : wi<<6+64]
+			for i := range ls {
+				ls[i] = now
+			}
+			continue
+		}
+		for w != 0 {
+			id := int32(wi<<6 + bits.TrailingZeros64(w))
+			w &= w - 1
+			t.lastShared[id] = now
+		}
 	}
-	// Evicted rows must not grow, but an empty eviction set (the common
-	// round: no sweep ran, or it found nothing) masks nothing — skip the
-	// word loads entirely then.
-	aEv, bEv := aPlan.evicted > 0, bPlan.evicted > 0
-	// Count the mutually-held rows first so one reservation covers every
-	// append target; a freshly created contact's plan otherwise climbs a
-	// growslice ladder on each of the four slices.
-	n := 0
+}
+
+// grow applies growth to every row alive on both sides, each side growing
+// from the other side's anchor weight — mutually-held rows are shared on
+// both sides, so their anchors are exactly the eager round's
+// decayed-and-refreshed values — reproducing the eager
+// growthDeltas+applyDeltas arithmetic bit for bit.
+func grow(a, b *Table, sec float64) {
+	nw := min(len(a.present), len(b.present))
+	aRate, bRate := a.params.GrowthRate, b.params.GrowthRate
 	for wi := 0; wi < nw; wi++ {
-		g := a.present[wi] & b.present[wi]
 		// Rows saturated on both sides can only stay at MaxWeight (the
 		// per-bit skip below); the sat bitsets mark exactly those rows, so
 		// whole words of them drop here without loading a single weight —
 		// the dominant case once a dense network's tables have converged.
-		g &^= a.sat.word(wi) & b.sat.word(wi)
-		if aEv {
-			g &^= aPlan.evictSet.word(wi)
-		}
-		if bEv {
-			g &^= bPlan.evictSet.word(wi)
-		}
-		n += bits.OnesCount64(g)
-	}
-	if n == 0 {
-		return
-	}
-	aPlan.growIDs, aPlan.growW = reserveRows(aPlan.growIDs, aPlan.growW, n)
-	bPlan.growIDs, bPlan.growW = reserveRows(bPlan.growIDs, bPlan.growW, n)
-	aRate, bRate := a.params.GrowthRate, b.params.GrowthRate
-	for wi := 0; wi < nw; wi++ {
-		g := a.present[wi] & b.present[wi]
-		g &^= a.sat.word(wi) & b.sat.word(wi)
-		if aEv {
-			g &^= aPlan.evictSet.word(wi)
-		}
-		if bEv {
-			g &^= bPlan.evictSet.word(wi)
-		}
+		g := a.present[wi] & b.present[wi] &^ (a.sat.word(wi) & b.sat.word(wi))
 		if g == 0 {
 			continue
 		}
@@ -301,69 +195,70 @@ func scoreGrowth(aPlan, bPlan *tablePlan, a, b *Table, dt time.Duration) {
 			// dynamic (DESIGN.md) has pushed dense-network tables to 1.0.
 			// Out-of-range weights (!= rather than >=) still take the full
 			// compute-and-clamp path, matching the eager arithmetic.
-			if aw == MaxWeight && bw == MaxWeight {
-				continue
-			}
 			aDirBit, bDirBit := aDirW>>bit&1, bDirW>>bit&1
 			if aw != MaxWeight {
-				aDelta := growthDeltaIdx(bw*aRate*sec, aDirBit<<1|bDirBit)
-				aPlan.growIDs = append(aPlan.growIDs, id)
-				aPlan.growW = append(aPlan.growW, clampWeight(aw+aDelta))
+				a.setGrown(id, clampWeight(aw+growthDeltaIdx(bw*aRate*sec, aDirBit<<1|bDirBit)))
 			}
 			if bw != MaxWeight {
-				bDelta := growthDeltaIdx(aw*bRate*sec, bDirBit<<1|aDirBit)
-				bPlan.growIDs = append(bPlan.growIDs, id)
-				bPlan.growW = append(bPlan.growW, clampWeight(bw+bDelta))
+				b.setGrown(id, clampWeight(bw+growthDeltaIdx(aw*bRate*sec, bDirBit<<1|aDirBit)))
 			}
 		}
 	}
 }
 
-// reserveRows guarantees capacity for n more rows in an (ids, weights)
-// slice pair without changing their contents.
-func reserveRows(ids []int32, ws []float64, n int) ([]int32, []float64) {
-	if need := len(ids) + n; cap(ids) < need {
-		ids = append(make([]int32, 0, need), ids...)
-		ws = append(make([]float64, 0, need), ws...)
+// setGrown writes a grown weight. The row was unsaturated before the write
+// (the caller skips saturated rows), so only the clear→set transition of
+// the sat bit can happen here.
+func (t *Table) setGrown(id int32, w float64) {
+	t.weights[id] = w
+	if w == MaxWeight {
+		t.sat.set(id)
 	}
-	return ids, ws
 }
 
-// scoreAcquisitions collects the rows alive in the partner's table
-// post-sweep that this side will not hold post-sweep, at first-growth
-// weight. The source weight is the partner's observed value this round:
-// its anchor when the partner's plan refreshes the row (some device shares
-// it with the partner), its materialized decayed value otherwise — exactly
-// the post-decay weight the eager round exposed to acquisition.
-func (p *tablePlan) scoreAcquisitions(t *Table, partner *tablePlan, pt *Table, now time.Duration, rate, sec float64) {
-	pEv, ptEv := p.evicted > 0, partner.evicted > 0
-	n := 0
-	for wi := 0; wi < len(pt.present); wi++ {
-		m := pt.present[wi]
-		if ptEv {
-			m &^= partner.evictSet.word(wi)
-		}
-		held := t.present.word(wi)
-		if pEv {
-			held &^= p.evictSet.word(wi)
-		}
-		m &^= held
-		n += bits.OnesCount64(m)
-	}
-	if n == 0 {
+// rebuildDeadline, when a sweep ran, rebuilds the table deadline piecewise
+// to the value a full recompute would give: the surviving candidates' min
+// bound was collected during the sweep walk (sweepDeath), and the refreshed
+// shared transient rows are folded in here, after growth, so their bounds
+// use the post-growth weights the recompute would have seen; acquisitions
+// merge themselves on insert. Without a sweep the old deadline stays —
+// refreshes and growth only push true death times later, so it remains a
+// valid conservative bound.
+func (s *side) rebuildDeadline(t *Table, now time.Duration) {
+	if !s.swept {
 		return
 	}
-	p.acqIDs, p.acqW = reserveRows(p.acqIDs, p.acqW, n)
-	for wi := 0; wi < len(pt.present); wi++ {
-		m := pt.present[wi]
-		if ptEv {
-			m &^= partner.evictSet.word(wi)
+	t.nextDeath = s.sweepDeath
+	// All refreshed rows share the anchor time now, and the death bound is
+	// monotone non-decreasing in the weight at a fixed anchor, so the min
+	// bound over the shared transient rows is the bound of their minimum
+	// weight — found with plain compares, one bound conversion at the end.
+	minW := math.Inf(1)
+	for wi, w := range s.shared {
+		m := w &^ t.direct.word(wi)
+		for m != 0 {
+			id := int32(wi<<6 + bits.TrailingZeros64(m))
+			m &= m - 1
+			if w := t.weights[id]; w < minW {
+				minW = w
+			}
 		}
-		held := t.present.word(wi)
-		if pEv {
-			held &^= p.evictSet.word(wi)
-		}
-		m &^= held
+	}
+	if !math.IsInf(minW, 1) {
+		t.mergeDeath(minW, now)
+	}
+}
+
+// collectAcquisitions collects the rows alive in the partner's table that
+// this side does not hold, at first-growth weight. The source weight is
+// the partner's observed value this round: its anchor when the partner
+// refreshed the row (some device shares it with the partner), its
+// materialized decayed value otherwise — exactly the post-decay weight the
+// eager round exposed to acquisition.
+func (s *side) collectAcquisitions(t *Table, partner *side, pt *Table, now time.Duration, rate, sec float64) {
+	s.acqIDs, s.acqW = s.acqIDs[:0], s.acqW[:0]
+	for wi, pw := range pt.present {
+		m := pw &^ t.present.word(wi)
 		if m == 0 {
 			continue
 		}
@@ -378,77 +273,19 @@ func (p *tablePlan) scoreAcquisitions(t *Table, partner *tablePlan, pt *Table, n
 			if sharedW>>bit&1 == 0 {
 				src, _ = decayedWeight(pt.params, src, dirBit != 0, now-pt.lastShared[id])
 			}
-			w := growthDeltaIdx(src*rate*sec, dirBit)
-			p.acqIDs = append(p.acqIDs, id)
-			p.acqW = append(p.acqW, clampWeight(w))
+			s.acqIDs = append(s.acqIDs, id)
+			s.acqW = append(s.acqW, clampWeight(growthDeltaIdx(src*rate*sec, dirBit)))
 		}
 	}
 }
 
-// apply writes one endpoint's plan into its table: evictions, anchor
-// refreshes, growth weights, then acquisitions. When a sweep ran, the table
-// deadline is rebuilt piecewise to the value a full recompute would give:
-// the surviving candidates' min bound was collected during the sweep walk
-// (sweepDeath), the refreshed shared transient rows are folded in by the
-// walk below (after the growth writes, so their bounds use the post-growth
-// weights the recompute would have seen), and acquisitions merge themselves
-// via insertRow. Without a sweep the old deadline stays — refreshes and
-// growth only push true death times later, so it remains a valid
-// conservative bound.
-func (p *tablePlan) apply(t *Table, from ident.NodeID, now time.Duration) {
-	t.version++
-	if p.evicted > 0 {
-		for wi, w := range p.evictSet {
-			for w != 0 {
-				id := int32(wi<<6 + bits.TrailingZeros64(w))
-				w &= w - 1
-				t.removeRow(id)
-			}
-		}
+// insertAcquisitions inserts the collected rows, then compacts the storage
+// if the sweep emptied its tail.
+func (s *side) insertAcquisitions(t *Table, from ident.NodeID, now time.Duration) {
+	for i, id := range s.acqIDs {
+		t.insertRow(id, s.acqW[i], false, now, from)
 	}
-	for wi, w := range p.shared {
-		for w != 0 {
-			id := int32(wi<<6 + bits.TrailingZeros64(w))
-			w &= w - 1
-			t.lastShared[id] = now
-		}
-	}
-	for i, id := range p.growIDs {
-		w := p.growW[i]
-		t.weights[id] = w
-		if w == MaxWeight {
-			// Grown rows were unsaturated at score time (mutually saturated
-			// pairs are masked out of the growth lists), so only the clear→set
-			// transition can happen here.
-			t.sat.set(id)
-		}
-	}
-	if p.swept {
-		t.nextDeath = p.sweepDeath
-		// All refreshed rows share the anchor time now, and the death bound
-		// is monotone non-decreasing in the weight at a fixed anchor, so the
-		// min bound over the shared transient rows is the bound of their
-		// minimum weight — found with plain compares, one bound conversion
-		// at the end.
-		minW := math.Inf(1)
-		for wi, w := range p.shared {
-			m := w &^ t.direct.word(wi)
-			for m != 0 {
-				id := int32(wi<<6 + bits.TrailingZeros64(m))
-				m &= m - 1
-				if w := t.weights[id]; w < minW {
-					minW = w
-				}
-			}
-		}
-		if !math.IsInf(minW, 1) {
-			t.mergeDeath(minW, now)
-		}
-	}
-	for i, id := range p.acqIDs {
-		t.insertRow(id, p.acqW[i], false, now, from)
-	}
-	if p.evicted > 0 {
+	if s.evicted > 0 {
 		t.maybeCompact()
 	}
 }

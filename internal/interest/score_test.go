@@ -24,8 +24,6 @@ func cloneTable(t *Table) *Table {
 		sat:          append(bitset(nil), t.sat...),
 		count:        t.count,
 		nextDeath:    t.nextDeath,
-		version:      t.version,
-		shape:        t.shape,
 		invBeta:      t.invBeta,
 		invBetaTheta: t.invBetaTheta,
 		capRows:      t.capRows,
@@ -82,22 +80,31 @@ func requireTablesEqual(t *testing.T, label string, got, want *Table) {
 	}
 }
 
-// TestExchangePlanMatchesExchangeGrow pins that a single ExchangePlan
-// reused across many rounds (the engine reuses per-contact plans) computes
-// the same result as the stock ExchangeGrow entry point — scratch state
-// must not leak between rounds.
-func TestExchangePlanMatchesExchangeGrow(t *testing.T) {
+// TestRoundMatchesScoreApplyReference pins the fused in-place round
+// against the two-phase reference it replaced (refRound: score both sides
+// read-only, then apply each side), over randomized multi-peer contacts with
+// and without a row cap. One Round is reused across all trials, as the
+// engine reuses its scratch, so state leaking between rounds shows too.
+func TestRoundMatchesScoreApplyReference(t *testing.T) {
 	rng := sim.NewRNG(42)
 	params := DefaultParams()
-	var plan ExchangePlan // reused across trials, like the engine reuses per-contact plans
-	for trial := 0; trial < 200; trial++ {
+	var r Round
+	for trial := 0; trial < 400; trial++ {
 		in := NewInterner()
 		now := 10 * time.Minute
 		dt := time.Duration(rng.Range(float64(time.Second), float64(90*time.Second)))
-		nKw := 4 + rng.Intn(24)
+		nKw := 4 + rng.Intn(150)
 
 		a := randomTable(rng, params, in, nKw, now)
 		b := randomTable(rng, params, in, nKw, now)
+		if trial%2 == 1 {
+			a.SetCap(1 + rng.Intn(nKw))
+			b.SetCap(1 + rng.Intn(nKw))
+		}
+		// Half the trials start with passed deadlines, so both sweeps run.
+		if rng.Coin(0.5) {
+			a.nextDeath, b.nextDeath = 0, 0
+		}
 		aPeers := []*Table{b}
 		bPeers := []*Table{a}
 		for p := rng.Intn(3); p > 0; p-- {
@@ -107,31 +114,35 @@ func TestExchangePlanMatchesExchangeGrow(t *testing.T) {
 			bPeers = append(bPeers, randomTable(rng, params, in, nKw, now))
 		}
 
-		aSerial, bSerial := cloneTable(a), cloneTable(b)
-		aPeersSerial := []*Table{bSerial}
-		for _, p := range aPeers[1:] {
-			aPeersSerial = append(aPeersSerial, cloneTable(p))
-		}
-		bPeersSerial := []*Table{aSerial}
-		for _, p := range bPeers[1:] {
-			bPeersSerial = append(bPeersSerial, cloneTable(p))
-		}
+		aRef, bRef := cloneTable(a), cloneTable(b)
+		aPeersRef := append([]*Table{bRef}, aPeers[1:]...)
+		bPeersRef := append([]*Table{aRef}, bPeers[1:]...)
 
-		ExchangeGrow(aSerial, bSerial, 1, 2, aPeersSerial, bPeersSerial, now, dt)
+		var ref refRound
+		ref.run(aRef, bRef, 1, 2, aPeersRef, bPeersRef, now, dt)
+		r.Exchange(a, b, 1, 2, aPeers, bPeers, now, dt)
 
-		plan.Score(a, b, 1, 2, aPeers, bPeers, now, dt)
-		if !plan.StillValid() {
-			t.Fatalf("trial %d: fresh plan reported stale", trial)
+		requireTablesEqual(t, fmt.Sprintf("trial %d table a", trial), a, aRef)
+		requireTablesEqual(t, fmt.Sprintf("trial %d table b", trial), b, bRef)
+		for _, p := range []struct {
+			name     string
+			got, ref *Table
+		}{{"a", a, aRef}, {"b", b, bRef}} {
+			if p.got.nextDeath != p.ref.nextDeath || p.got.capEvictions != p.ref.capEvictions ||
+				p.got.compactions != p.ref.compactions || len(p.got.present) != len(p.ref.present) {
+				t.Fatalf("trial %d table %s: (deadline %v, cap evictions %d, compactions %d, words %d), want (%v, %d, %d, %d)",
+					trial, p.name, p.got.nextDeath, p.got.capEvictions, p.got.compactions, len(p.got.present),
+					p.ref.nextDeath, p.ref.capEvictions, p.ref.compactions, len(p.ref.present))
+			}
 		}
-		plan.Apply()
-
-		requireTablesEqual(t, fmt.Sprintf("trial %d table a", trial), a, aSerial)
-		requireTablesEqual(t, fmt.Sprintf("trial %d table b", trial), b, bSerial)
+		if r.Evictions() != ref.a.evicted+ref.b.evicted {
+			t.Fatalf("trial %d: %d evictions, want %d", trial, r.Evictions(), ref.a.evicted+ref.b.evicted)
+		}
 	}
 }
 
 // TestLazyExchangeMatchesEagerReference is the tentpole equivalence lock:
-// one lazy Score+Apply round, starting from a freshly anchored population,
+// one lazy round, starting from a freshly anchored population,
 // must be bit-identical to the historical eager sequence — DecayAgainst
 // both sides (a first, exactly as the old ExchangeGrow ordered it), exchange
 // decayed snapshots, Grow both — on membership, direct flags, provenance,
@@ -143,7 +154,7 @@ func TestExchangePlanMatchesExchangeGrow(t *testing.T) {
 func TestLazyExchangeMatchesEagerReference(t *testing.T) {
 	rng := sim.NewRNG(7)
 	params := DefaultParams()
-	var plan ExchangePlan
+	var r Round
 	for trial := 0; trial < 250; trial++ {
 		in := NewInterner()
 		now := 10 * time.Minute
@@ -180,8 +191,7 @@ func TestLazyExchangeMatchesEagerReference(t *testing.T) {
 		aRef.Grow(now, []PeerView{{Peer: 2, ConnectedFor: dt, Weights: snapB}})
 		bRef.Grow(now, []PeerView{{Peer: 1, ConnectedFor: dt, Weights: snapA}})
 
-		plan.Score(a, b, 1, 2, aPeers, bPeers, now, dt)
-		plan.Apply()
+		r.Exchange(a, b, 1, 2, aPeers, bPeers, now, dt)
 
 		check := func(label string, lazy, ref *Table) {
 			t.Helper()
@@ -208,50 +218,5 @@ func TestLazyExchangeMatchesEagerReference(t *testing.T) {
 		}
 		check("table a", a, aRef)
 		check("table b", b, bRef)
-	}
-}
-
-// TestExchangePlanStillValid pins the staleness protocol: any endpoint
-// mutation or peer membership change invalidates a plan, weight-only peer
-// updates do not (the round reads only peer membership), and applying a
-// valid plan invalidates other plans that read the same tables.
-func TestExchangePlanStillValid(t *testing.T) {
-	params := DefaultParams()
-	in := NewInterner()
-	now := time.Minute
-	mk := func(kws ...string) *Table {
-		tab, err := NewTable(params, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, kw := range kws {
-			tab.DeclareDirect(kw, now)
-		}
-		return tab
-	}
-	a, b, c := mk("x", "y"), mk("y", "z"), mk("z")
-
-	var plan ExchangePlan
-	plan.Score(a, b, 1, 2, []*Table{b, c}, []*Table{a}, now, time.Second)
-	if !plan.StillValid() {
-		t.Fatal("fresh plan reported stale")
-	}
-
-	c.SetWeight("z", 0.5) // weight-only peer update: invisible to the plan
-	if !plan.StillValid() {
-		t.Fatal("plan went stale on a weight-only peer update")
-	}
-
-	c.DeclareDirect("w", now) // membership change: read by a's shared mask
-	if plan.StillValid() {
-		t.Fatal("plan still valid after peer table membership changed")
-	}
-
-	plan.Score(a, b, 1, 2, []*Table{b, c}, []*Table{a}, now, time.Second)
-	var other ExchangePlan
-	other.Score(b, c, 2, 3, []*Table{c, a}, []*Table{b}, now, time.Second)
-	plan.Apply() // mutates a and b
-	if other.StillValid() {
-		t.Fatal("overlapping plan still valid after Apply mutated shared table")
 	}
 }

@@ -20,9 +20,8 @@ const (
 	// PhaseContacts is contact-set maintenance: diffing the pair set
 	// against live contacts, raising and tearing down contacts.
 	PhaseContacts
-	// PhaseExchange is the contact pass: parallel RTSR plan scoring plus
-	// the serial walk over live contacts — exchange, gossip, and routing
-	// rounds, and transfer progression.
+	// PhaseExchange is the contact pass: the walk over live contacts —
+	// exchange, gossip, and routing rounds, and transfer progression.
 	PhaseExchange
 	// PhaseEvents is scheduled-event work: the per-contact agenda drain
 	// plus the runner-lane events the engine schedules (workload

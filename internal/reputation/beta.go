@@ -2,7 +2,7 @@ package reputation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dtnsim/internal/ident"
 )
@@ -68,10 +68,14 @@ func (p BetaParams) Validate() error {
 // rating and negative evidence for the remainder; the opinion is the
 // posterior mean α/(α+β) with a Beta(1,1) uniform prior, scaled to the
 // 0–MaxRating scale.
+//
+// known and knownRows list the rows in ascending ID order, as in Store.
 type BetaStore struct {
-	params BetaParams
-	self   ident.NodeID
-	rows   map[ident.NodeID]*betaRow
+	params    BetaParams
+	self      ident.NodeID
+	rows      map[ident.NodeID]*betaRow
+	known     []ident.NodeID
+	knownRows []*betaRow
 }
 
 type betaRow struct {
@@ -98,6 +102,9 @@ func (s *BetaStore) rowFor(v ident.NodeID) *betaRow {
 	if !ok {
 		r = &betaRow{}
 		s.rows[v] = r
+		i, _ := slices.BinarySearch(s.known, v)
+		s.known = slices.Insert(s.known, i, v)
+		s.knownRows = slices.Insert(s.knownRows, i, r)
 	}
 	return r
 }
@@ -168,6 +175,11 @@ func (s *BetaStore) Rating(v ident.NodeID) float64 {
 	if !ok {
 		return s.params.MaxRating / 2
 	}
+	return s.rating(r)
+}
+
+// rating is a row's posterior mean on the 0–MaxRating scale.
+func (s *BetaStore) rating(r *betaRow) float64 {
 	return s.params.MaxRating * (r.pos + 1) / (r.pos + r.neg + 2)
 }
 
@@ -208,11 +220,7 @@ func (s *BetaStore) AwardFactor(deliverer ident.NodeID, pathRatings []float64) f
 }
 
 // Known implements Model.
-func (s *BetaStore) Known() []ident.NodeID {
-	out := make([]ident.NodeID, 0, len(s.rows))
-	for id := range s.rows {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (s *BetaStore) Known() []ident.NodeID { return s.known }
+
+// KnownRating implements Model.
+func (s *BetaStore) KnownRating(i int) float64 { return s.rating(s.knownRows[i]) }

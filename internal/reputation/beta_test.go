@@ -2,6 +2,8 @@ package reputation
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"dtnsim/internal/ident"
@@ -161,5 +163,41 @@ func TestBetaImplementsModelLikeDRM(t *testing.T) {
 	}
 	if math.Abs(drm.Rating(1)-5) > 0.5 && math.Abs(beta.Rating(1)-5) > 1.2 {
 		t.Error("neither model converged toward the top of the scale")
+	}
+}
+
+// TestKnownIndexTracksRows checks both models' sorted known-peer index
+// against their rows under randomized first- and second-hand updates:
+// Known stays sorted and complete, KnownRating(i) equals Rating of
+// Known()[i], and reading Known allocates nothing.
+func TestKnownIndexTracksRows(t *testing.T) {
+	drm, err := NewStore(0, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, m := range []Model{drm, betaStore(t)} {
+		seen := map[ident.NodeID]bool{}
+		for op := 0; op < 500; op++ {
+			v := ident.NodeID(1 + rng.Intn(60))
+			if rng.Intn(2) == 0 {
+				m.RateRelayMessage(v, MessageRatingInputs{TagRating: 5 * rng.Float64(), Confidence: 1})
+			} else {
+				m.MergeSecondHand(v, 5*rng.Float64())
+			}
+			seen[v] = true
+		}
+		known := m.Known()
+		if len(known) != len(seen) || !slices.IsSorted(known) {
+			t.Fatalf("%T: Known = %v, want the %d rated IDs sorted", m, known, len(seen))
+		}
+		for i, id := range known {
+			if got, want := m.KnownRating(i), m.Rating(id); got != want {
+				t.Errorf("%T: KnownRating(%d) = %v, Rating(%v) = %v", m, i, got, id, want)
+			}
+		}
+		if avg := testing.AllocsPerRun(100, func() { _ = m.Known() }); avg != 0 {
+			t.Errorf("%T: Known allocates %.1f objects per call, want 0", m, avg)
+		}
 	}
 }

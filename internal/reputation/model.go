@@ -28,8 +28,13 @@ type Model interface {
 	// AwardFactor returns the incentive multiplier in [0, 1] for a
 	// delivery by the given node carrying the given path ratings.
 	AwardFactor(deliverer ident.NodeID, pathRatings []float64) float64
-	// Known returns the IDs this node holds opinions about, sorted.
+	// Known returns the IDs this node holds opinions about, sorted. The
+	// slice is the model's own: callers must not modify it, and it is
+	// valid until the next opinion about a new node is recorded.
 	Known() []ident.NodeID
+	// KnownRating returns the rating of Known()[i] — Rating without the
+	// lookup, for callers walking Known.
+	KnownRating(i int) float64
 }
 
 var _ Model = (*Store)(nil)

@@ -18,7 +18,7 @@ package reputation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dtnsim/internal/ident"
 )
@@ -93,10 +93,14 @@ type MessageRatingInputs struct {
 }
 
 // Store is one node's reputation state: its opinion of every other node.
+// known and knownRows list the rows in ascending ID order; rows are never
+// deleted, so an insert is the only update they need.
 type Store struct {
-	params Params
-	self   ident.NodeID
-	rows   map[ident.NodeID]*row
+	params    Params
+	self      ident.NodeID
+	rows      map[ident.NodeID]*row
+	known     []ident.NodeID
+	knownRows []*row
 }
 
 type row struct {
@@ -127,6 +131,9 @@ func (s *Store) rowFor(v ident.NodeID) *row {
 	if !ok {
 		r = &row{current: s.params.InitialRating}
 		s.rows[v] = r
+		i, _ := slices.BinarySearch(s.known, v)
+		s.known = slices.Insert(s.known, i, v)
+		s.knownRows = slices.Insert(s.knownRows, i, r)
 	}
 	return r
 }
@@ -220,15 +227,11 @@ func (s *Store) ShouldAvoid(v ident.NodeID) bool {
 	return r.msgN >= s.params.MinObservations && r.current < s.params.AvoidBelow
 }
 
-// Known returns the IDs this store holds opinions about, sorted.
-func (s *Store) Known() []ident.NodeID {
-	out := make([]ident.NodeID, 0, len(s.rows))
-	for id := range s.rows {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// Known implements Model.
+func (s *Store) Known() []ident.NodeID { return s.known }
+
+// KnownRating implements Model.
+func (s *Store) KnownRating(i int) float64 { return s.knownRows[i].current }
 
 // AwardFactor computes the reputation multiplier in the award formula
 //

@@ -1,5 +1,7 @@
 package routing
 
+import "dtnsim/internal/message"
+
 // ChitChat implements the paper's data-centric routing substrate
 // (Paper I §2.2–2.4, after McGeehan et al., ICDCS 2016): messages flow
 // toward devices whose transient social relationships show stronger
@@ -20,19 +22,8 @@ func NewChitChat() ChitChat { return ChitChat{} }
 func (ChitChat) Name() string { return "chitchat" }
 
 // SelectOffers implements Router.
-func (ChitChat) SelectOffers(u, v NodeView) []Offer {
-	var offers []Offer
-	check := newPeerCheck(v)
-	for _, m := range u.Buffer().Messages() {
-		if !check.eligible(m) {
-			continue
-		}
-		role := ClassifyPeer(m, u, v)
-		if role == RoleNone {
-			continue
-		}
-		offers = append(offers, Offer{Msg: m, Role: role})
-	}
-	sortOffers(offers)
-	return offers
+func (ChitChat) SelectOffers(dst []Offer, u, v NodeView) []Offer {
+	return selectOffers(dst, u, v, func(m *message.Message) PeerRole {
+		return ClassifyPeer(m, u, v)
+	})
 }

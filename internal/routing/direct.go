@@ -1,5 +1,7 @@
 package routing
 
+import "dtnsim/internal/message"
+
 // Direct implements Direct-Contact routing: the source holds its messages
 // until it meets a destination. Zero replication overhead, lowest delivery
 // ratio — the other end of the trade-off spectrum from Epidemic.
@@ -14,18 +16,11 @@ func NewDirect() Direct { return Direct{} }
 func (Direct) Name() string { return "direct" }
 
 // SelectOffers implements Router.
-func (Direct) SelectOffers(u, v NodeView) []Offer {
-	var offers []Offer
-	check := newPeerCheck(v)
-	for _, m := range u.Buffer().Messages() {
-		if !check.eligible(m) {
-			continue
+func (Direct) SelectOffers(dst []Offer, u, v NodeView) []Offer {
+	return selectOffers(dst, u, v, func(m *message.Message) PeerRole {
+		if ClassifyPeer(m, u, v) == RoleDestination {
+			return RoleDestination
 		}
-		if ClassifyPeer(m, u, v) != RoleDestination {
-			continue
-		}
-		offers = append(offers, Offer{Msg: m, Role: RoleDestination})
-	}
-	sortOffers(offers)
-	return offers
+		return RoleNone
+	})
 }

@@ -1,5 +1,7 @@
 package routing
 
+import "dtnsim/internal/message"
+
 // Epidemic implements Vahdat & Becker's flooding baseline: every contact
 // replicates every message the peer does not hold. It achieves the highest
 // delivery ratio at maximal overhead, which is the traffic ceiling the
@@ -15,20 +17,12 @@ func NewEpidemic() Epidemic { return Epidemic{} }
 func (Epidemic) Name() string { return "epidemic" }
 
 // SelectOffers implements Router.
-func (Epidemic) SelectOffers(u, v NodeView) []Offer {
-	var offers []Offer
-	check := newPeerCheck(v)
-	for _, m := range u.Buffer().Messages() {
-		if !check.eligible(m) {
-			continue
+func (Epidemic) SelectOffers(dst []Offer, u, v NodeView) []Offer {
+	return selectOffers(dst, u, v, func(m *message.Message) PeerRole {
+		if ClassifyPeer(m, u, v) == RoleDestination {
+			return RoleDestination
 		}
-		role := ClassifyPeer(m, u, v)
-		if role != RoleDestination {
-			// Epidemic replicates regardless of interest strength.
-			role = RoleRelay
-		}
-		offers = append(offers, Offer{Msg: m, Role: role})
-	}
-	sortOffers(offers)
-	return offers
+		// Epidemic replicates regardless of interest strength.
+		return RoleRelay
+	})
 }

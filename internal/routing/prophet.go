@@ -157,23 +157,16 @@ func (p *Prophet) deliveryScore(carrier ident.NodeID, m *message.Message) float6
 // SelectOffers implements Router: offer when the peer is a destination, or
 // when the peer's delivery predictability toward an interested subscriber
 // beats the carrier's.
-func (p *Prophet) SelectOffers(u, v NodeView) []Offer {
-	var offers []Offer
-	check := newPeerCheck(v)
-	for _, m := range u.Buffer().Messages() {
-		if !check.eligible(m) {
-			continue
-		}
+func (p *Prophet) SelectOffers(dst []Offer, u, v NodeView) []Offer {
+	return selectOffers(dst, u, v, func(m *message.Message) PeerRole {
 		if v.Interests().HasDirectAnyID(KeywordIDs(m, u.Interests().Interner())) {
-			offers = append(offers, Offer{Msg: m, Role: RoleDestination})
-			continue
+			return RoleDestination
 		}
 		if p.deliveryScore(v.ID(), m) > p.deliveryScore(u.ID(), m) {
-			offers = append(offers, Offer{Msg: m, Role: RoleRelay})
+			return RoleRelay
 		}
-	}
-	sortOffers(offers)
-	return offers
+		return RoleNone
+	})
 }
 
 // Predictability exposes P(from,to) for tests and reports.

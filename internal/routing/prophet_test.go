@@ -97,19 +97,19 @@ func TestProphetSelectOffers(t *testing.T) {
 	p.OnContact(relay, dest, time.Minute)
 	p.OnContact(src, relay, 2*time.Minute)
 	m := h.msg(t, src, message.PriorityHigh, 0.5, 0, "wanted")
-	offers := p.SelectOffers(src, relay)
+	offers := p.SelectOffers(nil, src, relay)
 	if len(offers) != 1 || offers[0].Role != RoleRelay {
 		t.Fatalf("offers = %v, want one relay offer", offers)
 	}
 	// Direct-interest destinations are always offered.
-	offers = p.SelectOffers(src, dest)
+	offers = p.SelectOffers(nil, src, dest)
 	if len(offers) != 1 || offers[0].Role != RoleDestination {
 		t.Fatalf("offers to dest = %v", offers)
 	}
 	// The reverse direction (relay knows dest better) must not offer.
 	m2 := h.msg(t, relay, message.PriorityHigh, 0.5, 0, "wanted")
 	_ = m2
-	if offers := p.SelectOffers(relay, src); len(offers) != 0 {
+	if offers := p.SelectOffers(nil, relay, src); len(offers) != 0 {
 		t.Errorf("relay offered %v to a worse carrier", offers)
 	}
 	_ = m
@@ -124,7 +124,7 @@ func TestTwoHopOnlySourceSprays(t *testing.T) {
 	r := NewTwoHop()
 	m := h.msg(t, src, message.PriorityHigh, 0.5, 0, "wanted")
 	// Source replicates to anyone.
-	offers := r.SelectOffers(src, relay)
+	offers := r.SelectOffers(nil, src, relay)
 	if len(offers) != 1 || offers[0].Role != RoleRelay {
 		t.Fatalf("source offers = %v", offers)
 	}
@@ -133,11 +133,11 @@ func TestTwoHopOnlySourceSprays(t *testing.T) {
 	if err := relay.buf.Add(clone); err != nil {
 		t.Fatal(err)
 	}
-	if offers := r.SelectOffers(relay, relay2); len(offers) != 0 {
+	if offers := r.SelectOffers(nil, relay, relay2); len(offers) != 0 {
 		t.Errorf("relay replicated onward: %v", offers)
 	}
 	// But it delivers to a destination.
-	if offers := r.SelectOffers(relay, dest); len(offers) != 1 || offers[0].Role != RoleDestination {
+	if offers := r.SelectOffers(nil, relay, dest); len(offers) != 1 || offers[0].Role != RoleDestination {
 		t.Errorf("relay delivery offers = %v", offers)
 	}
 }

@@ -8,7 +8,8 @@
 package routing
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"dtnsim/internal/buffer"
@@ -67,8 +68,10 @@ type Offer struct {
 type Router interface {
 	// Name identifies the algorithm in reports.
 	Name() string
-	// SelectOffers returns the messages u offers v, most urgent first.
-	SelectOffers(u, v NodeView) []Offer
+	// SelectOffers appends the messages u offers v to dst, most urgent
+	// first, and returns the extended slice. Callers pass a reused
+	// scratch slice, so a round allocates nothing once it has grown.
+	SelectOffers(dst []Offer, u, v NodeView) []Offer
 }
 
 // ContactAware is implemented by routers that maintain per-encounter state
@@ -110,45 +113,73 @@ func ClassifyPeer(m *message.Message, u, v NodeView) PeerRole {
 // is the transmission-order half of the paper's priority preference
 // (Figure 5.6): when a contact is short, high-priority messages go first.
 func sortOffers(offers []Offer) {
-	sort.SliceStable(offers, func(i, j int) bool {
-		a, b := offers[i].Msg, offers[j].Msg
-		if offers[i].Role != offers[j].Role {
-			// Destinations before relays: deliveries beat replication.
-			return offers[i].Role > offers[j].Role
-		}
-		if a.Priority != b.Priority {
-			return a.Priority < b.Priority
-		}
-		if a.Quality != b.Quality {
-			return a.Quality > b.Quality
-		}
-		if a.CreatedAt != b.CreatedAt {
-			return a.CreatedAt < b.CreatedAt
-		}
-		return a.ID < b.ID
-	})
+	slices.SortStableFunc(offers, compareOffers)
 }
 
-// eligible reports the common offer preconditions: v does not already hold
-// the message and v is not already in the message's path (loop avoidance —
-// the UUID dedup makes re-offering to past custodians pure overhead). The
-// cheap path scan runs before the map probe.
-func (v peerCheck) eligible(m *message.Message) bool {
-	for _, hop := range m.Path {
-		if hop == v.id {
-			return false
+// compareOffers is sortOffers' ordering.
+func compareOffers(x, y Offer) int {
+	if x.Role != y.Role {
+		// Destinations before relays: deliveries beat replication.
+		return cmp.Compare(y.Role, x.Role)
+	}
+	a, b := x.Msg, y.Msg
+	if a.Priority != b.Priority {
+		return cmp.Compare(a.Priority, b.Priority)
+	}
+	if a.Quality != b.Quality {
+		return cmp.Compare(b.Quality, a.Quality)
+	}
+	if a.CreatedAt != b.CreatedAt {
+		return cmp.Compare(a.CreatedAt, b.CreatedAt)
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// appendCandidates appends to dst, as role-less offers, the offer
+// candidates for u→v: u's residents that v does not hold, less those whose
+// hop path already names v (loop avoidance — the UUID dedup makes
+// re-offering to past custodians pure overhead). Both buffers' key-ordered
+// indexes merge in one pass, so the messages v already holds — most of a
+// contact partner's residents — cost one integer compare each and never
+// reach the hop-path scan. Candidates come out in key order; every router
+// sorts its offers by a total order that ends in the message ID, so the
+// key order never shows in an output.
+func appendCandidates(dst []Offer, u, v NodeView) []Offer {
+	held := v.Buffer().ByKey()
+	vid := v.ID()
+	j := 0
+outer:
+	for _, r := range u.Buffer().ByKey() {
+		for j < len(held) && held[j].Less(r) {
+			j++
+		}
+		if j < len(held) && !r.Less(held[j]) {
+			continue // v holds a copy
+		}
+		for _, hop := range r.Msg.Path {
+			if hop == vid {
+				continue outer
+			}
+		}
+		dst = append(dst, Offer{Msg: r.Msg})
+	}
+	return dst
+}
+
+// selectOffers is the loop every router shares: it gathers the offer
+// candidates for u→v, keeps those role classifies as anything but
+// RoleNone, and sorts them into transmission order.
+func selectOffers(dst []Offer, u, v NodeView, role func(*message.Message) PeerRole) []Offer {
+	start := len(dst)
+	dst = appendCandidates(dst, u, v)
+	n := start
+	for _, o := range dst[start:] {
+		if r := role(o.Msg); r != RoleNone {
+			dst[n] = Offer{Msg: o.Msg, Role: r}
+			n++
 		}
 	}
-	return !v.buf.Has(m.ID)
-}
-
-// peerCheck caches the receiver fields the per-message eligibility test
-// reads, hoisting the interface calls out of the buffer scan loop.
-type peerCheck struct {
-	id  ident.NodeID
-	buf *buffer.Store
-}
-
-func newPeerCheck(v NodeView) peerCheck {
-	return peerCheck{id: v.ID(), buf: v.Buffer()}
+	dst = dst[:n]
+	sortOffers(dst[start:])
+	return dst
 }

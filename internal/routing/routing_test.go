@@ -110,7 +110,7 @@ func TestChitChatOffers(t *testing.T) {
 	v := h.node(t, 2, "wanted")
 	h.msg(t, u, message.PriorityHigh, 0.5, 0, "wanted")
 	h.msg(t, u, message.PriorityHigh, 0.5, 0, "unrelated")
-	offers := NewChitChat().SelectOffers(u, v)
+	offers := NewChitChat().SelectOffers(nil, u, v)
 	if len(offers) != 1 {
 		t.Fatalf("offers = %d, want 1", len(offers))
 	}
@@ -127,7 +127,7 @@ func TestChitChatSkipsAlreadyHeld(t *testing.T) {
 	if err := v.buf.Add(m.CopyFor(v.id)); err != nil {
 		t.Fatal(err)
 	}
-	if offers := NewChitChat().SelectOffers(u, v); len(offers) != 0 {
+	if offers := NewChitChat().SelectOffers(nil, u, v); len(offers) != 0 {
 		t.Errorf("offered a message the peer already holds: %v", offers)
 	}
 }
@@ -139,7 +139,7 @@ func TestChitChatSkipsPastCustodians(t *testing.T) {
 	m := h.msg(t, u, message.PriorityHigh, 0.5, 0, "wanted")
 	// v already carried this message earlier in its path.
 	m.Path = append(m.Path, v.id, u.id)
-	if offers := NewChitChat().SelectOffers(u, v); len(offers) != 0 {
+	if offers := NewChitChat().SelectOffers(nil, u, v); len(offers) != 0 {
 		t.Errorf("offered a message back to a past custodian: %v", offers)
 	}
 }
@@ -150,7 +150,7 @@ func TestEpidemicOffersEverything(t *testing.T) {
 	v := h.node(t, 2)
 	h.msg(t, u, message.PriorityHigh, 0.5, 0, "a")
 	h.msg(t, u, message.PriorityLow, 0.5, 0, "b")
-	offers := NewEpidemic().SelectOffers(u, v)
+	offers := NewEpidemic().SelectOffers(nil, u, v)
 	if len(offers) != 2 {
 		t.Fatalf("epidemic offers = %d, want 2", len(offers))
 	}
@@ -169,10 +169,10 @@ func TestDirectOnlyOffersToDestinations(t *testing.T) {
 	relay.table.SetWeight("a", 0.9)
 	dest := h.node(t, 3, "a")
 	h.msg(t, u, message.PriorityHigh, 0.5, 0, "a")
-	if offers := NewDirect().SelectOffers(u, relay); len(offers) != 0 {
+	if offers := NewDirect().SelectOffers(nil, u, relay); len(offers) != 0 {
 		t.Error("direct routing offered to a relay")
 	}
-	if offers := NewDirect().SelectOffers(u, dest); len(offers) != 1 {
+	if offers := NewDirect().SelectOffers(nil, u, dest); len(offers) != 1 {
 		t.Error("direct routing missed the destination")
 	}
 }
@@ -192,15 +192,15 @@ func TestSprayAndWaitPhases(t *testing.T) {
 	m := h.msg(t, u, message.PriorityHigh, 0.5, 0, "a")
 	m.CopiesLeft = 4
 
-	if offers := spray.SelectOffers(u, relay); len(offers) != 1 || offers[0].Role != RoleRelay {
+	if offers := spray.SelectOffers(nil, u, relay); len(offers) != 1 || offers[0].Role != RoleRelay {
 		t.Errorf("spray phase offers = %v", offers)
 	}
 	// Wait phase: single copy left → relay gets nothing, destination still does.
 	m.CopiesLeft = 1
-	if offers := spray.SelectOffers(u, relay); len(offers) != 0 {
+	if offers := spray.SelectOffers(nil, u, relay); len(offers) != 0 {
 		t.Error("wait phase offered to a relay")
 	}
-	if offers := spray.SelectOffers(u, dest); len(offers) != 1 || offers[0].Role != RoleDestination {
+	if offers := spray.SelectOffers(nil, u, dest); len(offers) != 1 || offers[0].Role != RoleDestination {
 		t.Error("wait phase must still deliver to destinations")
 	}
 }
@@ -231,7 +231,7 @@ func TestOfferOrderingPriorityFirst(t *testing.T) {
 	low := h.msg(t, u, message.PriorityLow, 0.9, 0, "a")
 	high := h.msg(t, u, message.PriorityHigh, 0.3, time.Second, "b")
 	med := h.msg(t, u, message.PriorityMedium, 0.5, 0, "c")
-	offers := NewChitChat().SelectOffers(u, v)
+	offers := NewChitChat().SelectOffers(nil, u, v)
 	if len(offers) != 3 {
 		t.Fatalf("offers = %d", len(offers))
 	}
@@ -248,7 +248,7 @@ func TestOfferOrderingDestinationsBeforeRelays(t *testing.T) {
 	v.table.SetWeight("other", 0.5)
 	relayMsg := h.msg(t, u, message.PriorityHigh, 0.9, 0, "other")
 	destMsg := h.msg(t, u, message.PriorityLow, 0.1, time.Second, "wanted")
-	offers := NewChitChat().SelectOffers(u, v)
+	offers := NewChitChat().SelectOffers(nil, u, v)
 	if len(offers) != 2 {
 		t.Fatalf("offers = %d", len(offers))
 	}

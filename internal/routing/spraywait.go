@@ -1,6 +1,10 @@
 package routing
 
-import "fmt"
+import (
+	"fmt"
+
+	"dtnsim/internal/message"
+)
 
 // SprayAndWait implements the binary Spray-and-Wait baseline (Spyropoulos
 // et al.): a message starts with L logical copies; a custodian holding
@@ -30,30 +34,23 @@ func NewSprayAndWait(l int) (*SprayAndWait, error) {
 func (s *SprayAndWait) Name() string { return "spray-and-wait" }
 
 // SelectOffers implements Router.
-func (s *SprayAndWait) SelectOffers(u, v NodeView) []Offer {
-	var offers []Offer
-	check := newPeerCheck(v)
-	for _, m := range u.Buffer().Messages() {
-		if !check.eligible(m) {
-			continue
-		}
+func (s *SprayAndWait) SelectOffers(dst []Offer, u, v NodeView) []Offer {
+	return selectOffers(dst, u, v, func(m *message.Message) PeerRole {
 		if m.CopiesLeft == 0 {
 			// Unsprayed message created before this router took over.
 			m.CopiesLeft = s.L
 		}
-		role := ClassifyPeer(m, u, v)
 		switch {
-		case role == RoleDestination:
-			offers = append(offers, Offer{Msg: m, Role: RoleDestination})
+		case ClassifyPeer(m, u, v) == RoleDestination:
+			return RoleDestination
 		case m.CopiesLeft > 1:
 			// Spray phase: replicate to any willing carrier.
-			offers = append(offers, Offer{Msg: m, Role: RoleRelay})
+			return RoleRelay
 		default:
 			// Wait phase: single copy, destination-only.
+			return RoleNone
 		}
-	}
-	sortOffers(offers)
-	return offers
+	})
 }
 
 // SplitCopies computes the binary split of c copies: the sender keeps

@@ -1,5 +1,7 @@
 package routing
 
+import "dtnsim/internal/message"
+
 // TwoHop implements the two-hop relay baseline the thesis surveys ("in
 // two-hop relay, a message will be delivered to destination if source and
 // destination are within two-hops reachability"): the source replicates to
@@ -16,22 +18,15 @@ func NewTwoHop() TwoHop { return TwoHop{} }
 func (TwoHop) Name() string { return "two-hop" }
 
 // SelectOffers implements Router.
-func (TwoHop) SelectOffers(u, v NodeView) []Offer {
-	var offers []Offer
-	check := newPeerCheck(v)
-	for _, m := range u.Buffer().Messages() {
-		if !check.eligible(m) {
-			continue
-		}
+func (TwoHop) SelectOffers(dst []Offer, u, v NodeView) []Offer {
+	return selectOffers(dst, u, v, func(m *message.Message) PeerRole {
 		if v.Interests().HasDirectAnyID(KeywordIDs(m, u.Interests().Interner())) {
-			offers = append(offers, Offer{Msg: m, Role: RoleDestination})
-			continue
+			return RoleDestination
 		}
 		// Only the source sprays; relays wait for destinations.
 		if m.Source == u.ID() {
-			offers = append(offers, Offer{Msg: m, Role: RoleRelay})
+			return RoleRelay
 		}
-	}
-	sortOffers(offers)
-	return offers
+		return RoleNone
+	})
 }

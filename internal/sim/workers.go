@@ -7,8 +7,8 @@ import (
 )
 
 // Workers bounds the goroutines used by intra-run parallel phases: the
-// engine's mobility advance, contact-pair sharding, and exchange scoring
-// all fan out through one Workers value sized by Config.Workers.
+// engine's mobility advance and contact-pair sharding fan out through one
+// Workers value sized by Config.Workers.
 //
 // The determinism contract is placement, not scheduling: a phase hands out
 // part indices to whichever goroutine is free, but every part writes only
@@ -20,7 +20,7 @@ import (
 // Goroutines are spawned per call rather than parked in a resident pool:
 // engines have no Close hook (sweeps build hundreds of them), so a
 // resident pool would leak its goroutines with every finished run. The
-// spawn cost — at most N goroutines per phase, three phases per tick — is
+// spawn cost — at most N goroutines per phase, two phases per tick — is
 // noise next to the phase bodies themselves.
 type Workers struct {
 	n int
@@ -29,9 +29,8 @@ type Workers struct {
 // NewWorkers returns a pool bounded to n concurrent goroutines per phase.
 // Values below 1 are treated as 1 (serial). n is also clamped to GOMAXPROCS
 // at construction: more workers than schedulable CPUs can never cut
-// wall-clock time, but would forfeit the serial fast paths — and, for
-// exchange scoring, pay the optimistic-plan overhead with no parallelism to
-// amortize it. The determinism contract (identical results at every worker
+// wall-clock time, but would forfeit the serial fast paths. The
+// determinism contract (identical results at every worker
 // count) is what makes the clamp invisible.
 func NewWorkers(n int) *Workers {
 	if p := runtime.GOMAXPROCS(0); n > p {

@@ -1,9 +1,10 @@
 package world
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dtnsim/internal/ident"
 )
@@ -347,12 +348,16 @@ func orderedPair(a, b ident.NodeID) Pair {
 	return Pair{Lo: b, Hi: a}
 }
 
-func sortIDs(ids []ident.NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
+func sortIDs(ids []ident.NodeID) { slices.Sort(ids) }
 
 // SortPairs orders pairs lexicographically — the canonical order Pairs
 // returns and the engine's contact diffing relies on.
-func SortPairs(ps []Pair) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Less(ps[j]) })
+func SortPairs(ps []Pair) { slices.SortFunc(ps, comparePairs) }
+
+// comparePairs is the canonical pair order as a three-way comparison.
+func comparePairs(p, q Pair) int {
+	if p.Lo != q.Lo {
+		return cmp.Compare(p.Lo, q.Lo)
+	}
+	return cmp.Compare(p.Hi, q.Hi)
 }
